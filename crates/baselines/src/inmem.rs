@@ -14,7 +14,7 @@
 use std::io::Read;
 
 use twigm::fxhash::FxHashMap;
-use twigm_sax::{Attribute, NodeId, SaxError, SaxHandler};
+use twigm_sax::{Event, NodeId, SaxError, SaxReader};
 use twigm_xpath::{Axis, CmpOp, Literal, NameTest, Path, PredExpr, Step, StrFunc, Value};
 
 /// One element node in the arena DOM.
@@ -45,54 +45,44 @@ pub struct Document {
 impl Document {
     /// Parses a complete document from a reader.
     pub fn parse<R: Read>(src: R) -> Result<Document, SaxError> {
-        struct Builder {
-            nodes: Vec<DomNode>,
-            stack: Vec<usize>,
-        }
-        impl SaxHandler for Builder {
-            fn start_element(
-                &mut self,
-                name: &str,
-                attrs: &[Attribute<'_>],
-                level: u32,
-                id: NodeId,
-            ) {
-                let index = self.nodes.len();
-                let parent = self.stack.last().copied();
-                self.nodes.push(DomNode {
-                    tag: name.to_string(),
-                    level,
-                    id,
-                    parent,
-                    children: Vec::new(),
-                    attrs: attrs
-                        .iter()
-                        .map(|a| (a.name.to_string(), a.value.clone().into_owned()))
-                        .collect(),
-                    text: String::new(),
-                });
-                if let Some(p) = parent {
-                    self.nodes[p].children.push(index);
+        let mut nodes: Vec<DomNode> = Vec::new();
+        let mut stack: Vec<usize> = Vec::new();
+        let mut reader = SaxReader::new(src);
+        while let Some(event) = reader.next_event()? {
+            match event {
+                Event::Start(tag) => {
+                    let index = nodes.len();
+                    let parent = stack.last().copied();
+                    let attrs = tag
+                        .attributes()
+                        .map(|a| a.map(|a| (a.name.to_string(), a.value.into_owned())))
+                        .collect::<Result<_, _>>()?;
+                    nodes.push(DomNode {
+                        tag: tag.name().to_string(),
+                        level: tag.level(),
+                        id: tag.id(),
+                        parent,
+                        children: Vec::new(),
+                        attrs,
+                        text: String::new(),
+                    });
+                    if let Some(p) = parent {
+                        nodes[p].children.push(index);
+                    }
+                    stack.push(index);
                 }
-                self.stack.push(index);
-            }
-            fn end_element(&mut self, _name: &str, _level: u32) {
-                self.stack.pop();
-            }
-            fn text(&mut self, text: &str) {
-                if let Some(&top) = self.stack.last() {
-                    self.nodes[top].text.push_str(text);
+                Event::End(_) => {
+                    stack.pop();
                 }
+                Event::Text(text) => {
+                    if let Some(&top) = stack.last() {
+                        nodes[top].text.push_str(&text);
+                    }
+                }
+                Event::Comment(_) | Event::ProcessingInstruction { .. } => {}
             }
         }
-        let mut builder = Builder {
-            nodes: Vec::new(),
-            stack: Vec::new(),
-        };
-        twigm_sax::parse_reader(src, &mut builder)?;
-        Ok(Document {
-            nodes: builder.nodes,
-        })
+        Ok(Document { nodes })
     }
 
     /// Parses an in-memory document.

@@ -110,9 +110,13 @@ mod tests {
     use super::*;
 
     // The allocator is not registered in unit tests (that would affect
-    // every test in the crate); exercise the counter logic directly.
+    // every test in the crate); exercise the counter logic directly. The
+    // counters are global, so the tests take turns.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn counters_track_alloc_dealloc() {
+        let _turn = COUNTERS.lock().unwrap();
         let base = CountingAllocator::reset_peak();
         on_alloc(1000);
         assert!(CountingAllocator::live() >= base + 1000);
@@ -123,6 +127,7 @@ mod tests {
 
     #[test]
     fn reset_peak_rebases_to_live() {
+        let _turn = COUNTERS.lock().unwrap();
         on_alloc(5000);
         let live = CountingAllocator::reset_peak();
         assert_eq!(CountingAllocator::peak(), live);

@@ -6,7 +6,8 @@
 
 use std::fs;
 use std::io::{BufWriter, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use twigm_datagen::Dataset;
 
@@ -49,15 +50,32 @@ pub fn ensure_dataset(dataset: Dataset, bytes: usize) -> std::io::Result<PathBuf
         return Ok(path);
     }
     fs::create_dir_all(cache_dir())?;
-    let tmp = path.with_extension("xml.tmp");
-    {
-        let file = fs::File::create(&tmp)?;
-        let mut writer = BufWriter::new(file);
-        dataset.generate(bytes, &mut writer)?;
-        writer.flush()?;
-    }
-    fs::rename(&tmp, &path)?;
+    write_once(&path, |writer| dataset.generate(bytes, writer).map(|_| ()))?;
     Ok(path)
+}
+
+/// Creates `path` from what `fill` writes, through a temp file of this
+/// writer's own, so callers racing on a cold cache never share one. The
+/// temp file is linked into place only if `path` does not exist yet: a
+/// writer that loses the race keeps the winner's file.
+fn write_once(
+    path: &Path,
+    fill: impl FnOnce(&mut BufWriter<fs::File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    static WRITERS: AtomicU64 = AtomicU64::new(0);
+    let writer = WRITERS.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("xml.{}-{writer}.tmp", std::process::id()));
+    let written = (|| {
+        let mut out = BufWriter::new(fs::File::create(&tmp)?);
+        fill(&mut out)?;
+        out.flush()
+    })();
+    let linked = written.and_then(|()| fs::hard_link(&tmp, path));
+    let _ = fs::remove_file(&tmp);
+    match linked {
+        Err(_) if path.exists() => Ok(()),
+        other => other,
+    }
 }
 
 /// Duplicates a dataset k times into one well-formed document (the
@@ -87,18 +105,13 @@ pub fn ensure_duplicated(dataset: Dataset, bytes: usize, k: usize) -> std::io::R
         Some(i) => i + 2,
         None => 0,
     };
-    let tmp = path.with_extension("xml.tmp");
-    {
-        let file = fs::File::create(&tmp)?;
-        let mut writer = BufWriter::new(file);
+    write_once(&path, |writer| {
         writer.write_all(b"<?xml version=\"1.0\" encoding=\"UTF-8\"?><dup>")?;
         for _ in 0..k {
             writer.write_all(&body[content_start..])?;
         }
-        writer.write_all(b"</dup>")?;
-        writer.flush()?;
-    }
-    fs::rename(&tmp, &path)?;
+        writer.write_all(b"</dup>")
+    })?;
     Ok(path)
 }
 
@@ -117,6 +130,42 @@ mod tests {
         let path2 = ensure_dataset(Dataset::Book, 20_000).unwrap();
         assert_eq!(path, path2);
         assert_eq!(fs::metadata(&path2).unwrap().modified().unwrap(), mtime);
+    }
+
+    #[test]
+    fn concurrent_callers_on_a_cold_cache_agree() {
+        // A size no other test uses, fresh for this run.
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .subsec_nanos() as usize;
+        let bytes = 41_000 + nanos % 8_000;
+        let path = dataset_path(Dataset::Book, bytes);
+        let _ = fs::remove_file(&path);
+        let paths: Vec<PathBuf> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| ensure_dataset(Dataset::Book, bytes)))
+                .collect();
+            callers
+                .into_iter()
+                .map(|c| c.join().unwrap().unwrap())
+                .collect()
+        });
+        assert!(paths.iter().all(|p| *p == path));
+        let xml = fs::read(&path).unwrap();
+        assert!(xml.len() >= bytes);
+        let mut reader = twigm_sax::SaxReader::from_bytes(&xml);
+        while reader.next_event().unwrap().is_some() {}
+        let prefix = format!("book-{bytes}.xml.");
+        let leftovers = fs::read_dir(cache_dir())
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with(&prefix)
+            })
+            .count();
+        assert_eq!(leftovers, 0, "temp files left behind");
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The systems under comparison, mapped to the paper's contenders.
 
 use std::fs::File;
-use std::io::BufReader;
+use std::io::{BufReader, Read};
 use std::path::Path as FsPath;
 use std::time::{Duration, Instant};
 
-use twigm::{BranchM, EngineStats, PathM, StreamEngine, TwigM};
+use twigm::{Engine, EngineStats, MachineError, StreamEngine};
 use twigm_baselines::{inmem, LazyDfa, NaiveEnum};
 use twigm_xpath::Path;
 
@@ -64,75 +64,25 @@ impl System {
             return RunOutcome::Unsupported;
         }
         let start = Instant::now();
-        let deadline = Some(start + timeout);
+        let deadline = start + timeout;
         let opened = match File::open(file) {
             Ok(f) => BufReader::with_capacity(256 * 1024, f),
             Err(e) => return RunOutcome::Error(e.to_string()),
         };
-        let streamed =
-            |outcome: Result<Option<u64>, twigm_sax::SaxError>, stats: EngineStats| match outcome {
-                Ok(Some(results)) => RunOutcome::Ok(MeasuredRun {
-                    duration: start.elapsed(),
-                    results,
-                    stats,
-                    peak_bytes: None,
-                }),
-                Ok(None) => RunOutcome::TimedOut,
-                Err(e) => RunOutcome::Error(e.to_string()),
-            };
         match self {
-            System::TwigM => {
-                // Auto-select like twigm::Engine, but keep the concrete
-                // types so stats are preserved.
-                if query.is_predicate_free() {
-                    let mut engine = match PathM::new(query) {
-                        Ok(e) => e,
-                        Err(e) => return RunOutcome::Error(e.to_string()),
-                    };
-                    let r = run_stream_with_deadline(&mut engine, opened, deadline);
-                    streamed(r, engine.stats().clone())
-                } else if query.is_branch_only() {
-                    let mut engine = match BranchM::new(query) {
-                        Ok(e) => e,
-                        Err(e) => return RunOutcome::Error(e.to_string()),
-                    };
-                    let r = run_stream_with_deadline(&mut engine, opened, deadline);
-                    streamed(r, engine.stats().clone())
-                } else {
-                    let mut engine = match TwigM::new(query) {
-                        Ok(e) => e,
-                        Err(e) => return RunOutcome::Error(e.to_string()),
-                    };
-                    let r = run_stream_with_deadline(&mut engine, opened, deadline);
-                    streamed(r, engine.stats().clone())
-                }
-            }
-            System::Xmltk => {
-                let mut engine = match LazyDfa::new(query) {
-                    Ok(e) => e,
-                    Err(e) => return RunOutcome::Error(e.to_string()),
-                };
-                let r = run_stream_with_deadline(&mut engine, opened, deadline);
-                streamed(r, engine.stats().clone())
-            }
-            System::Xsq => {
-                let mut engine = match NaiveEnum::new(query) {
-                    Ok(e) => e,
-                    Err(e) => return RunOutcome::Error(e.to_string()),
-                };
-                let r = run_stream_with_deadline(&mut engine, opened, deadline);
-                streamed(r, engine.stats().clone())
-            }
+            System::TwigM => stream(Engine::new(query), opened, deadline, start),
+            System::Xmltk => stream(LazyDfa::new(query), opened, deadline, start),
+            System::Xsq => stream(NaiveEnum::new(query), opened, deadline, start),
             System::InMemory => {
                 let doc = match inmem::Document::parse(opened) {
                     Ok(d) => d,
                     Err(e) => return RunOutcome::Error(e.to_string()),
                 };
-                if Instant::now() > start + timeout {
+                if Instant::now() > deadline {
                     return RunOutcome::TimedOut;
                 }
                 let results = inmem::InMemEval::new(&doc).evaluate(query);
-                if Instant::now() > start + timeout {
+                if Instant::now() > deadline {
                     return RunOutcome::TimedOut;
                 }
                 RunOutcome::Ok(MeasuredRun {
@@ -143,6 +93,30 @@ impl System {
                 })
             }
         }
+    }
+}
+
+/// Streams `src` through a freshly compiled engine on the serial loop,
+/// under the deadline.
+fn stream<E: StreamEngine>(
+    engine: Result<E, MachineError>,
+    src: impl Read,
+    deadline: Instant,
+    start: Instant,
+) -> RunOutcome {
+    let mut engine = match engine {
+        Ok(e) => e,
+        Err(e) => return RunOutcome::Error(e.to_string()),
+    };
+    match run_stream_with_deadline(&mut engine, src, Some(deadline)) {
+        Ok(Some(results)) => RunOutcome::Ok(MeasuredRun {
+            duration: start.elapsed(),
+            results,
+            stats: engine.stats().clone(),
+            peak_bytes: None,
+        }),
+        Ok(None) => RunOutcome::TimedOut,
+        Err(e) => RunOutcome::Error(e.to_string()),
     }
 }
 

@@ -5,12 +5,13 @@ use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
 use twigm::attrs::AttrCollector;
-use twigm::engine::{run_engine, run_engine_traced};
+use twigm::engine::{drive as drive_serial, Telemetry};
 use twigm::fragments::FragmentCollector;
 use twigm::multi::MultiTwigM;
-use twigm::pipeline::{run_engine_pipelined, run_multi_sharded, shard_queries, PipelineOptions};
+use twigm::pipeline::{run_multi_sharded, run_pipeline, shard_queries, PipelineOptions};
 use twigm::{
-    BranchM, Engine, EngineStats, PathM, PipelineStats, StreamEngine, StreamTelemetry, TwigM,
+    BranchM, Engine, EngineStats, MachineObserver, NoopObserver, PathM, PipelineStats,
+    StreamEngine, StreamProgress, StreamTelemetry, TwigM,
 };
 use twigm_baselines::{inmem, LazyDfa, NaiveEnum};
 use twigm_obs::trace::TransitionTracer;
@@ -34,8 +35,9 @@ fn engine_flag_name(machine_name: &str) -> &str {
     }
 }
 
-/// Wall-clock measurements of one run, alongside the driver's stream
-/// accounting when the traced driver was used.
+/// Wall-clock measurements of one run, alongside the stream accounting
+/// of the serial loop's telemetry hook or the pipeline's counters.
+#[derive(Default)]
 struct RunMeta {
     telemetry: Option<StreamTelemetry>,
     duration: Duration,
@@ -43,51 +45,26 @@ struct RunMeta {
     pipeline: Option<PipelineStats>,
 }
 
-/// The engine after a drive, plus everything measured along the way.
-struct DriveOutcome<E> {
-    ids: Vec<NodeId>,
-    engine: E,
-    meta: RunMeta,
-}
-
-/// Whether this invocation needs the traced driver (byte/event
-/// accounting, first-result latency, progress callbacks).
-fn wants_telemetry(args: &Args) -> bool {
-    args.progress || matches!(args.stats, StatsMode::Json | StatsMode::Pretty)
-}
-
-/// Streams `input` through `engine`, choosing the plain or the traced
-/// driver depending on what the flags need. The plain driver is the
-/// default so `--stats` (text) keeps the exact pre-telemetry hot path.
-fn drive<E: StreamEngine>(
+/// Streams `input` through `engine`, leaving the results in it. With
+/// `--threads` the pipeline runs it; otherwise the serial loop does, with
+/// the telemetry hook on only when the flags need it (byte/event
+/// accounting, first-result latency, progress), so `--stats` (text)
+/// keeps the plain hot path.
+fn drive<E: StreamEngine + Send>(
     args: &Args,
-    engine: E,
+    engine: &mut E,
     input: &mut (dyn Read + Send),
-) -> Result<DriveOutcome<E>, String> {
+) -> Result<RunMeta, String> {
     let start = Instant::now();
+    let mut meta = RunMeta::default();
     if args.threads > 1 {
-        // Batched producer/consumer pipeline. Args::parse restricts
-        // `--threads` to modes the batch driver can serve (ids/count,
-        // machine engines, no trace/progress), so the telemetry and
-        // traced paths below never combine with it.
         let opts = PipelineOptions::default();
-        let (ids, engine, pipeline) =
-            run_engine_pipelined(engine, input, &opts).map_err(|e| e.to_string())?;
-        return Ok(DriveOutcome {
-            ids,
-            engine,
-            meta: RunMeta {
-                telemetry: None,
-                duration: start.elapsed(),
-                time_to_first_result: None,
-                pipeline: Some(pipeline),
-            },
-        });
-    }
-    if wants_telemetry(args) {
+        let stats = run_pipeline(std::slice::from_mut(engine), input, &opts);
+        meta.pipeline = Some(stats.map_err(|e| e.to_string())?);
+    } else if args.progress || matches!(args.stats, StatsMode::Json | StatsMode::Pretty) {
         let mut first: Option<Duration> = None;
         let mut next_heartbeat = PROGRESS_INTERVAL;
-        let (ids, engine, telemetry) = run_engine_traced(engine, input, 1, |p| {
+        let mut hook = Telemetry::new(1, |p: &StreamProgress| {
             if first.is_none() && p.results > 0 {
                 first = Some(start.elapsed());
             }
@@ -95,31 +72,41 @@ fn drive<E: StreamEngine>(
                 next_heartbeat = p.events + PROGRESS_INTERVAL;
                 eprintln!("twigm: {}", format_progress(p, start.elapsed()));
             }
-        })
-        .map_err(|e| e.to_string())?;
-        Ok(DriveOutcome {
-            ids,
-            engine,
-            meta: RunMeta {
-                telemetry: Some(telemetry),
-                duration: start.elapsed(),
-                time_to_first_result: first,
-                pipeline: None,
-            },
-        })
+        });
+        let bytes = drive_serial(engine, input, &mut hook).map_err(|e| e.to_string())?;
+        meta.telemetry = Some(StreamTelemetry {
+            bytes,
+            ..hook.stream
+        });
+        meta.time_to_first_result = first;
     } else {
-        let (ids, engine) = run_engine(engine, input).map_err(|e| e.to_string())?;
-        Ok(DriveOutcome {
-            ids,
-            engine,
-            meta: RunMeta {
-                telemetry: None,
-                duration: start.elapsed(),
-                time_to_first_result: None,
-                pipeline: None,
-            },
-        })
+        drive_serial(engine, input, &mut ()).map_err(|e| e.to_string())?;
     }
+    meta.duration = start.elapsed();
+    Ok(meta)
+}
+
+/// Prints the ids one per line, or with `-c` only their number; returns
+/// the number.
+fn write_ids(args: &Args, out: &mut dyn Write, ids: &[NodeId]) -> Result<u64, String> {
+    let io_err = |e: std::io::Error| e.to_string();
+    if args.output == OutputMode::Count {
+        writeln!(out, "{}", ids.len()).map_err(io_err)?;
+    } else {
+        for id in ids {
+            writeln!(out, "{id}").map_err(io_err)?;
+        }
+    }
+    Ok(ids.len() as u64)
+}
+
+/// Prints the text of each `(id, text)` pair on a line; returns the
+/// number of pairs.
+fn write_texts(out: &mut dyn Write, pairs: &[(NodeId, String)]) -> Result<u64, String> {
+    for (_, text) in pairs {
+        writeln!(out, "{text}").map_err(|e| e.to_string())?;
+    }
+    Ok(pairs.len() as u64)
 }
 
 /// Runs a single query, prints per `args.output`, returns the match
@@ -145,29 +132,6 @@ pub fn run_single(
     let attr = query.attr.clone();
     match args.engine {
         EngineChoice::Dom => run_dom(args, &query, input, out),
-        EngineChoice::Auto => {
-            let engine = Engine::new(&query).map_err(|e| e.to_string())?;
-            let name = engine_flag_name(engine.machine_name());
-            run_streaming(args, name, engine, attr, input, out)
-        }
-        EngineChoice::Twig => {
-            let engine = TwigM::new(&query).map_err(|e| e.to_string())?;
-            run_streaming(args, "twig", engine, attr, input, out)
-        }
-        EngineChoice::PathM => {
-            if !query.is_predicate_free() {
-                return Err("--engine path requires a predicate-free query".into());
-            }
-            let engine = PathM::new(&query).map_err(|e| e.to_string())?;
-            run_streaming(args, "path", engine, attr, input, out)
-        }
-        EngineChoice::BranchM => {
-            if !query.is_branch_only() {
-                return Err("--engine branch requires an XP{/,[]} query".into());
-            }
-            let engine = BranchM::new(&query).map_err(|e| e.to_string())?;
-            run_streaming(args, "branch", engine, attr, input, out)
-        }
         EngineChoice::Naive => {
             let engine = NaiveEnum::new(&query).map_err(|e| e.to_string())?;
             run_streaming(args, "naive", engine, attr, input, out)
@@ -183,12 +147,43 @@ pub fn run_single(
             let engine = LazyDfa::new(&query).map_err(|e| e.to_string())?;
             run_streaming(args, "dfa", engine, attr, input, out)
         }
+        choice => {
+            let engine = machine_engine(choice, &query, NoopObserver)?;
+            let name = engine_flag_name(engine.machine_name());
+            run_streaming(args, name, engine, attr, input, out)
+        }
     }
+}
+
+/// Compiles the machine `--engine` names (auto, twig, path or branch)
+/// with `observer` attached.
+fn machine_engine<O: MachineObserver>(
+    choice: EngineChoice,
+    query: &Path,
+    observer: O,
+) -> Result<Engine<O>, String> {
+    let engine = match choice {
+        EngineChoice::Auto => Engine::with_observer(query, observer),
+        EngineChoice::Twig => TwigM::with_observer(query, observer).map(Engine::Twig),
+        EngineChoice::PathM if !query.is_predicate_free() => {
+            return Err("--engine path requires a predicate-free query".into())
+        }
+        EngineChoice::PathM => PathM::with_observer(query, observer).map(Engine::Path),
+        EngineChoice::BranchM if !query.is_branch_only() => {
+            return Err("--engine branch requires an XP{/,[]} query".into())
+        }
+        EngineChoice::BranchM => BranchM::with_observer(query, observer).map(Engine::Branch),
+        // Args::parse keeps the baselines away from --trace.
+        _ => return Err("--trace requires a machine engine (auto|twig|path|branch)".into()),
+    };
+    engine.map_err(|e| e.to_string())
 }
 
 /// A `a | b` union: every branch compiles into the multi-query engine
 /// and the result sets merge. Rides the same drive/stats path as the
-/// single-query modes, so `--stats`/`--progress` work here too.
+/// single-query modes, so `--stats`/`--progress` work here too; with
+/// `--threads` the branches are sharded over `threads - 1` engines whose
+/// results merge into document order, byte-identical to the serial run.
 fn run_union(
     args: &Args,
     branches: &[Path],
@@ -204,77 +199,33 @@ fn run_union(
     if args.trace.is_some() {
         return Err("--trace is not supported for union queries".into());
     }
-    if args.threads > 1 {
-        return run_union_sharded(args, branches, input, out);
-    }
-    let mut engine = MultiTwigM::new();
-    for branch in branches {
-        engine.add_query(branch).map_err(|e| e.to_string())?;
-    }
-    let outcome = drive(args, engine, input)?;
-    // Set-union semantics: sort into document order, drop ids matched
-    // by several branches.
-    let mut ids = outcome.ids;
-    ids.sort_unstable();
-    ids.dedup();
-    match args.output {
-        OutputMode::Count => {
-            writeln!(out, "{}", ids.len()).map_err(|e| e.to_string())?;
-        }
-        _ => {
-            for id in &ids {
-                writeln!(out, "{id}").map_err(|e| e.to_string())?;
-            }
-        }
-    }
-    let engine = outcome.engine;
-    report_stats(
-        args,
-        "multi",
-        engine.stats(),
-        StreamEngine::machine_size(&engine),
-        &outcome.meta,
-    );
-    Ok(ids.len() as u64)
-}
-
-/// The threaded union path: branches are partitioned round-robin over
-/// `threads - 1` worker engines, each fed the batched event stream, and
-/// the per-shard result sets merge into document order — byte-identical
-/// to the serial union output.
-fn run_union_sharded(
-    args: &Args,
-    branches: &[Path],
-    input: &mut (dyn Read + Send),
-    out: &mut dyn Write,
-) -> Result<u64, String> {
-    let start = Instant::now();
-    let shards = shard_queries(branches, args.threads - 1).map_err(|e| e.to_string())?;
-    let outcome =
-        run_multi_sharded(shards, input, &PipelineOptions::default()).map_err(|e| e.to_string())?;
-    match args.output {
-        OutputMode::Count => {
-            writeln!(out, "{}", outcome.ids.len()).map_err(|e| e.to_string())?;
-        }
-        _ => {
-            for id in &outcome.ids {
-                writeln!(out, "{id}").map_err(|e| e.to_string())?;
-            }
-        }
-    }
-    report_stats(
-        args,
-        "multi",
-        &outcome.stats,
-        Some(outcome.machine_size),
-        &RunMeta {
-            telemetry: None,
+    let (ids, stats, machine_size, meta) = if args.threads > 1 {
+        let start = Instant::now();
+        let shards = shard_queries(branches, args.threads - 1).map_err(|e| e.to_string())?;
+        let outcome = run_multi_sharded(shards, input, &PipelineOptions::default())
+            .map_err(|e| e.to_string())?;
+        let meta = RunMeta {
             duration: start.elapsed(),
-            time_to_first_result: None,
             pipeline: Some(outcome.pipeline),
-        },
-    );
-    Ok(outcome.ids.len() as u64)
+            ..RunMeta::default()
+        };
+        (outcome.ids, outcome.stats, outcome.machine_size, meta)
+    } else {
+        let mut engine = MultiTwigM::new();
+        for branch in branches {
+            engine.add_query(branch).map_err(|e| e.to_string())?;
+        }
+        let meta = drive(args, &mut engine, input)?;
+        // Set-union semantics: sort into document order, drop ids
+        // matched by several branches.
+        let mut ids = StreamEngine::take_results(&mut engine);
+        ids.sort_unstable();
+        ids.dedup();
+        (ids, engine.stats().clone(), engine.machine_size(), meta)
+    };
+    let count = write_ids(args, out, &ids)?;
+    report_stats(args, "multi", &stats, Some(machine_size), &meta);
+    Ok(count)
 }
 
 /// Runs one query with a [`TransitionTracer`] attached and writes the
@@ -286,48 +237,12 @@ fn run_traced(
     input: &mut (dyn Read + Send),
     out: &mut dyn Write,
 ) -> Result<u64, String> {
-    let tracer = TransitionTracer::new();
-    let engine: Engine<TransitionTracer> = match args.engine {
-        EngineChoice::Auto => Engine::with_observer(query, tracer).map_err(|e| e.to_string())?,
-        EngineChoice::Twig => {
-            Engine::Twig(TwigM::with_observer(query, tracer).map_err(|e| e.to_string())?)
-        }
-        EngineChoice::PathM => {
-            if !query.is_predicate_free() {
-                return Err("--engine path requires a predicate-free query".into());
-            }
-            Engine::Path(PathM::with_observer(query, tracer).map_err(|e| e.to_string())?)
-        }
-        EngineChoice::BranchM => {
-            if !query.is_branch_only() {
-                return Err("--engine branch requires an XP{/,[]} query".into());
-            }
-            Engine::Branch(BranchM::with_observer(query, tracer).map_err(|e| e.to_string())?)
-        }
-        // Rejected in Args::parse; defensive here.
-        _ => return Err("--trace requires a machine engine (auto|twig|path|branch)".into()),
-    };
+    let mut engine = machine_engine(args.engine, query, TransitionTracer::new())?;
     let name = engine_flag_name(engine.machine_name());
     let machine = engine.machine().clone();
-    let outcome = drive(args, engine, input)?;
-    match args.output {
-        OutputMode::Count => {
-            writeln!(out, "{}", outcome.ids.len()).map_err(|e| e.to_string())?;
-        }
-        _ => {
-            for id in &outcome.ids {
-                writeln!(out, "{id}").map_err(|e| e.to_string())?;
-            }
-        }
-    }
-    let engine = outcome.engine;
-    report_stats(
-        args,
-        name,
-        engine.stats(),
-        StreamEngine::machine_size(&engine),
-        &outcome.meta,
-    );
+    let meta = drive(args, &mut engine, input)?;
+    let count = write_ids(args, out, &engine.take_results())?;
+    report_stats(args, name, engine.stats(), engine.machine_size(), &meta);
     let trace_path = args.trace.as_deref().expect("checked by caller");
     let tracer = engine.into_observer();
     if tracer.dropped() > 0 {
@@ -342,83 +257,50 @@ fn run_traced(
         tracer.to_chrome_trace(Some(&machine))
     };
     std::fs::write(trace_path, text).map_err(|e| format!("cannot write {trace_path}: {e}"))?;
-    Ok(outcome.ids.len() as u64)
+    Ok(count)
 }
 
-fn run_streaming<E: StreamEngine>(
+fn run_streaming<E: StreamEngine + Send>(
     args: &Args,
     name: &str,
-    engine: E,
+    mut engine: E,
     attr: Option<String>,
     input: &mut (dyn Read + Send),
     out: &mut dyn Write,
 ) -> Result<u64, String> {
-    let io_err = |e: std::io::Error| e.to_string();
     match args.output {
         OutputMode::Values => {
             let attr = attr.expect("validated in run_single");
-            let collector = AttrCollector::new(engine, attr);
-            let outcome = drive(args, collector, input)?;
-            let mut collector = outcome.engine;
-            let values = collector.take_values();
-            let count = values.len() as u64;
-            for (_, value) in values {
-                writeln!(out, "{value}").map_err(io_err)?;
-            }
+            let mut collector = AttrCollector::new(engine, attr);
+            let meta = drive(args, &mut collector, input)?;
+            let count = write_texts(out, &collector.take_values())?;
             report_stats(
                 args,
                 name,
                 collector.stats(),
-                StreamEngine::machine_size(&collector),
-                &outcome.meta,
+                collector.machine_size(),
+                &meta,
             );
             Ok(count)
         }
         OutputMode::Fragments => {
-            let collector = FragmentCollector::new(engine);
-            let outcome = drive(args, collector, input)?;
-            let mut collector = outcome.engine;
-            let fragments = collector.take_fragments();
-            let count = fragments.len() as u64;
-            for (_, fragment) in fragments {
-                writeln!(out, "{fragment}").map_err(io_err)?;
-            }
+            let mut collector = FragmentCollector::new(engine);
+            let meta = drive(args, &mut collector, input)?;
+            let count = write_texts(out, &collector.take_fragments())?;
             report_stats(
                 args,
                 name,
                 collector.stats(),
-                StreamEngine::machine_size(&collector),
-                &outcome.meta,
+                collector.machine_size(),
+                &meta,
             );
             Ok(count)
         }
-        OutputMode::Ids => {
-            let outcome = drive(args, engine, input)?;
-            for id in &outcome.ids {
-                writeln!(out, "{id}").map_err(io_err)?;
-            }
-            let engine = outcome.engine;
-            report_stats(
-                args,
-                name,
-                engine.stats(),
-                StreamEngine::machine_size(&engine),
-                &outcome.meta,
-            );
-            Ok(outcome.ids.len() as u64)
-        }
-        OutputMode::Count => {
-            let outcome = drive(args, engine, input)?;
-            writeln!(out, "{}", outcome.ids.len()).map_err(io_err)?;
-            let engine = outcome.engine;
-            report_stats(
-                args,
-                name,
-                engine.stats(),
-                StreamEngine::machine_size(&engine),
-                &outcome.meta,
-            );
-            Ok(outcome.ids.len() as u64)
+        OutputMode::Ids | OutputMode::Count => {
+            let meta = drive(args, &mut engine, input)?;
+            let count = write_ids(args, out, &engine.take_results())?;
+            report_stats(args, name, engine.stats(), engine.machine_size(), &meta);
+            Ok(count)
         }
     }
 }
@@ -437,21 +319,15 @@ fn run_dom(
     if args.progress {
         return Err("--progress is not supported with --engine dom (no streaming pass)".into());
     }
-    let io_err = |e: std::io::Error| e.to_string();
     let doc = inmem::Document::parse(input).map_err(|e| e.to_string())?;
     let ids = inmem::InMemEval::new(&doc).evaluate(query);
-    match args.output {
-        OutputMode::Count => writeln!(out, "{}", ids.len()).map_err(io_err)?,
-        OutputMode::Ids => {
-            for id in &ids {
-                writeln!(out, "{id}").map_err(io_err)?;
-            }
-        }
+    let count = match args.output {
         OutputMode::Fragments => {
             return Err("--fragments is not supported with --engine dom".into())
         }
         OutputMode::Values => return Err("--values is not supported with --engine dom".into()),
-    }
+        OutputMode::Ids | OutputMode::Count => write_ids(args, out, &ids)?,
+    };
     if args.stats != StatsMode::Off {
         eprintln!(
             "twigm: dom: {} element(s) materialized, depth {}",
@@ -459,7 +335,7 @@ fn run_dom(
             doc.depth()
         );
     }
-    Ok(ids.len() as u64)
+    Ok(count)
 }
 
 /// Runs several standing queries via [`MultiTwigM`]; output lines are
@@ -472,12 +348,6 @@ pub fn run_multi(
     if args.engine != EngineChoice::Auto && args.engine != EngineChoice::Twig {
         return Err("multiple queries run on the TwigM engine only".into());
     }
-    if args.progress {
-        // Tagged results only surface through MultiTwigM::run, which the
-        // traced driver (whose results are untagged ids) cannot drive.
-        return Err("--progress is not supported with multiple queries".into());
-    }
-    let start = Instant::now();
     let mut engine = MultiTwigM::new();
     if args.filter {
         engine = engine.filter_mode();
@@ -486,20 +356,20 @@ pub fn run_multi(
         let query = parse_query(q)?;
         engine.add_query(&query).map_err(|e| e.to_string())?;
     }
-    let results = engine.run(input).map_err(|e| e.to_string())?;
+    let meta = drive(args, &mut engine, input)?;
+    let results = engine.take_tagged_results();
     let count = results.len() as u64;
+    let io_err = |e: std::io::Error| e.to_string();
     match args.output {
-        OutputMode::Count => {
-            writeln!(out, "{count}").map_err(|e| e.to_string())?;
-        }
+        OutputMode::Count => writeln!(out, "{count}").map_err(io_err)?,
         _ if args.filter => {
             for r in results {
-                writeln!(out, "Q{}", r.query).map_err(|e| e.to_string())?;
+                writeln!(out, "Q{}", r.query).map_err(io_err)?;
             }
         }
         _ => {
             for r in results {
-                writeln!(out, "Q{}\t{}", r.query, r.node).map_err(|e| e.to_string())?;
+                writeln!(out, "Q{}\t{}", r.query, r.node).map_err(io_err)?;
             }
         }
     }
@@ -507,13 +377,8 @@ pub fn run_multi(
         args,
         "multi",
         engine.stats(),
-        StreamEngine::machine_size(&engine),
-        &RunMeta {
-            telemetry: None,
-            duration: start.elapsed(),
-            time_to_first_result: None,
-            pipeline: None,
-        },
+        Some(engine.machine_size()),
+        &meta,
     );
     Ok(count)
 }
@@ -524,7 +389,7 @@ fn parse_query(text: &str) -> Result<Path, String> {
 
 /// Emits the stats in the selected mode on stderr. `Text` keeps the
 /// historic one-line format; `Json`/`Pretty` render a [`StatsReport`]
-/// with throughput and latency from the traced driver.
+/// with throughput and latency from the telemetry hook.
 fn report_stats(
     args: &Args,
     engine: &str,
@@ -710,6 +575,49 @@ mod tests {
         assert_eq!(count, 2);
         assert!(out.contains("Q0\t1"));
         assert!(out.contains("Q1\t2"));
+    }
+
+    #[test]
+    fn progress_and_rich_stats_leave_multi_query_output_alone() {
+        let xml = "<r><a/><b><a/></b></r>";
+        let plain = run(&["-q", "//a", "-q", "//b"], xml);
+        for flag in ["--progress", "--stats=json", "--stats=pretty"] {
+            assert_eq!(run(&[flag, "-q", "//a", "-q", "//b"], xml), plain, "{flag}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_pipeline_thread_is_an_error() {
+        /// Panics on the start tag `boom`.
+        struct PanicsOnBoom(EngineStats);
+        impl StreamEngine for PanicsOnBoom {
+            fn start_element(
+                &mut self,
+                tag: &str,
+                _: &[twigm_sax::Attribute<'_>],
+                _: u32,
+                _: NodeId,
+            ) -> bool {
+                assert_ne!(tag, "boom", "test double met <boom>");
+                false
+            }
+            fn end_element(&mut self, _: &str, _: u32) {}
+            fn take_results(&mut self) -> Vec<NodeId> {
+                Vec::new()
+            }
+            fn stats(&self) -> &EngineStats {
+                &self.0
+            }
+        }
+        let args = Args::parse(["--threads", "2", "//a"].iter().map(|s| s.to_string()))
+            .unwrap()
+            .unwrap();
+        let mut input = &b"<r><a/><boom/><a/></r>"[..];
+        let mut engine = PanicsOnBoom(EngineStats::default());
+        let err = drive(&args, &mut engine, &mut input).err();
+        let err = err.expect("the panic must surface as an error");
+        assert!(err.contains("pipeline consumer thread panicked"), "{err}");
+        assert!(err.contains("test double met <boom>"), "{err}");
     }
 
     #[test]

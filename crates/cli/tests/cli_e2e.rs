@@ -281,3 +281,76 @@ fn filter_mode_applies_to_a_single_query_too() {
     assert_eq!(out, "Q0\n", "one line despite three matches");
     assert_eq!(code, 0);
 }
+
+/// Which tags a query mentions must not decide whether a document is
+/// accepted: attribute values are checked for bad references even on
+/// tags whose attributes no engine decodes, in every mode.
+#[test]
+fn attribute_entities_are_checked_whatever_the_query_mentions() {
+    let xml = br#"<r><x a="&bogus;"/><y/></r>"#;
+    let invocations: [&[&str]; 5] = [
+        &["//y"],
+        &["--threads", "2", "//y"],
+        &["-q", "//y", "-q", "//x"],
+        &["//x/@a"],
+        &["--engine", "dom", "//y"],
+    ];
+    for args in invocations {
+        let (out, err, code) = run_with_stdin(args, xml);
+        assert_eq!(code, 2, "{args:?}: {err}");
+        assert_eq!(out, "", "{args:?}");
+        assert!(
+            err.contains("unknown entity `&bogus;` at byte 3"),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
+fn character_references_must_name_xml_chars() {
+    for (xml, query) in [
+        (&b"<r>&#0;</r>"[..], "//r"),
+        (br#"<r><x a="&#1;"/><y/></r>"#, "//y"),
+    ] {
+        for threads in ["1", "2"] {
+            let (out, err, code) = run_with_stdin(&["--threads", threads, query], xml);
+            assert_eq!(code, 2, "{err}");
+            assert_eq!(out, "");
+            assert!(err.contains("invalid character reference"), "{err}");
+        }
+    }
+}
+
+/// `-q` runs take the same serial loop as single queries, so they get
+/// heartbeats and the full stream telemetry.
+#[test]
+fn multi_query_runs_report_progress_and_telemetry() {
+    let mut xml = String::from("<r>");
+    for _ in 0..3000 {
+        xml.push_str("<a><b/></a>");
+    }
+    xml.push_str("</r>");
+    let queries = ["-q", "//a", "-q", "//b"];
+    let (plain, _, _) = run_with_stdin(&queries, xml.as_bytes());
+    let mut flagged = vec!["--progress", "--stats=json"];
+    flagged.extend(queries);
+    let (out, err, code) = run_with_stdin(&flagged, xml.as_bytes());
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(out, plain, "flags changed the output");
+    assert!(err.contains("twigm: progress:"), "{err}");
+    let json_line = err
+        .lines()
+        .find(|l| l.contains("twigm-stats-v1"))
+        .unwrap_or_else(|| panic!("no stats json on stderr: {err}"));
+    for needle in [
+        format!(r#""bytes":{}"#, xml.len()),
+        r#""max_depth":3"#.to_string(),
+        // <r>, <a>, <b> — //b is decided at its start tag's close.
+        r#""first_result_event":4"#.to_string(),
+    ] {
+        assert!(
+            json_line.contains(&needle),
+            "missing {needle} in {json_line}"
+        );
+    }
+}

@@ -2,9 +2,9 @@
 
 use std::fmt;
 use std::io::Read;
+use std::ops::ControlFlow;
 
-use twigm_sax::batch::{BatchEventKind, EventBatch};
-use twigm_sax::{Attribute, NodeId, SaxError, SaxHandler, SaxReader, Symbol, SymbolTable};
+use twigm_sax::{Attribute, Event, NodeId, SaxError, SaxReader, Symbol, SymbolTable};
 use twigm_xpath::Path;
 
 use crate::branch::BranchM;
@@ -89,36 +89,6 @@ pub trait StreamEngine {
         self.text(text)
     }
 
-    /// Applies one pre-parsed event batch via the `_sym` entry points.
-    ///
-    /// The batch must have been produced under a plan built over *this*
-    /// engine's symbol table (see `BatchPlan` in the sax crate) — the
-    /// symbols stored in the batch are dispatched without re-hashing the
-    /// tag names. The default implementation is a straight replay loop;
-    /// engines normally inherit it.
-    fn apply_batch(&mut self, batch: &EventBatch) {
-        let mut attrs: Vec<Attribute<'_>> = Vec::new();
-        for event in batch.events() {
-            match event.kind {
-                BatchEventKind::Start => {
-                    attrs.clear();
-                    attrs.extend(batch.attrs_of(event));
-                    self.start_element_sym(
-                        event.sym,
-                        batch.str_of(event),
-                        &attrs,
-                        event.level,
-                        NodeId::new(event.id),
-                    );
-                }
-                BatchEventKind::End => {
-                    self.end_element_sym(event.sym, batch.str_of(event), event.level);
-                }
-                BatchEventKind::Text => self.text_at(batch.str_of(event), event.level),
-            }
-        }
-    }
-
     /// Which symbols and stream features this engine dispatches on, for
     /// the pipeline prefilter. The conservative default claims
     /// everything is relevant, which disables filtering and is always
@@ -180,77 +150,6 @@ impl<E: StreamEngine + ?Sized> StreamEngine for &mut E {
 
     fn text_at(&mut self, text: &str, level: u32) {
         (**self).text_at(text, level)
-    }
-
-    fn apply_batch(&mut self, batch: &EventBatch) {
-        (**self).apply_batch(batch)
-    }
-
-    fn relevance(&self) -> Relevance {
-        (**self).relevance()
-    }
-
-    fn symbols(&self) -> Option<&SymbolTable> {
-        (**self).symbols()
-    }
-
-    fn needs_attributes(&self, sym: Symbol) -> bool {
-        (**self).needs_attributes(sym)
-    }
-
-    fn take_results(&mut self) -> Vec<NodeId> {
-        (**self).take_results()
-    }
-
-    fn stats(&self) -> &EngineStats {
-        (**self).stats()
-    }
-
-    fn machine_size(&self) -> Option<usize> {
-        (**self).machine_size()
-    }
-}
-
-impl<E: StreamEngine + ?Sized> StreamEngine for Box<E> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        (**self).start_element(tag, attrs, level, id)
-    }
-
-    fn text(&mut self, text: &str) {
-        (**self).text(text)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        (**self).end_element(tag, level)
-    }
-
-    fn start_element_sym(
-        &mut self,
-        sym: Symbol,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        (**self).start_element_sym(sym, tag, attrs, level, id)
-    }
-
-    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
-        (**self).end_element_sym(sym, tag, level)
-    }
-
-    fn text_at(&mut self, text: &str, level: u32) {
-        (**self).text_at(text, level)
-    }
-
-    fn apply_batch(&mut self, batch: &EventBatch) {
-        (**self).apply_batch(batch)
     }
 
     fn relevance(&self) -> Relevance {
@@ -339,6 +238,18 @@ impl Engine {
     }
 }
 
+/// Evaluates `$body` with `$e` bound to whichever machine `$engine`
+/// holds.
+macro_rules! on_machine {
+    ($engine:expr, $e:ident => $body:expr) => {
+        match $engine {
+            Engine::Path($e) => $body,
+            Engine::Branch($e) => $body,
+            Engine::Twig($e) => $body,
+        }
+    };
+}
+
 impl<O: MachineObserver> Engine<O> {
     /// Compiles `query` with an attached observer, selecting the machine
     /// by the query's class.
@@ -363,29 +274,17 @@ impl<O: MachineObserver> Engine<O> {
 
     /// The compiled machine (e.g. to label observer node ids).
     pub fn machine(&self) -> &Machine {
-        match self {
-            Engine::Path(e) => e.machine(),
-            Engine::Branch(e) => e.machine(),
-            Engine::Twig(e) => e.machine(),
-        }
+        on_machine!(self, e => e.machine())
     }
 
     /// The attached observer.
     pub fn observer(&self) -> &O {
-        match self {
-            Engine::Path(e) => e.observer(),
-            Engine::Branch(e) => e.observer(),
-            Engine::Twig(e) => e.observer(),
-        }
+        on_machine!(self, e => e.observer())
     }
 
     /// Consumes the engine, returning the observer.
     pub fn into_observer(self) -> O {
-        match self {
-            Engine::Path(e) => e.into_observer(),
-            Engine::Branch(e) => e.into_observer(),
-            Engine::Twig(e) => e.into_observer(),
-        }
+        on_machine!(self, e => e.into_observer())
     }
 }
 
@@ -397,27 +296,15 @@ impl<O: MachineObserver> StreamEngine for Engine<O> {
         level: u32,
         id: NodeId,
     ) -> bool {
-        match self {
-            Engine::Path(e) => e.start_element(tag, attrs, level, id),
-            Engine::Branch(e) => e.start_element(tag, attrs, level, id),
-            Engine::Twig(e) => e.start_element(tag, attrs, level, id),
-        }
+        on_machine!(self, e => e.start_element(tag, attrs, level, id))
     }
 
     fn text(&mut self, text: &str) {
-        match self {
-            Engine::Path(e) => e.text(text),
-            Engine::Branch(e) => e.text(text),
-            Engine::Twig(e) => e.text(text),
-        }
+        on_machine!(self, e => e.text(text))
     }
 
     fn end_element(&mut self, tag: &str, level: u32) {
-        match self {
-            Engine::Path(e) => e.end_element(tag, level),
-            Engine::Branch(e) => e.end_element(tag, level),
-            Engine::Twig(e) => e.end_element(tag, level),
-        }
+        on_machine!(self, e => e.end_element(tag, level))
     }
 
     fn start_element_sym(
@@ -428,35 +315,15 @@ impl<O: MachineObserver> StreamEngine for Engine<O> {
         level: u32,
         id: NodeId,
     ) -> bool {
-        match self {
-            Engine::Path(e) => e.start_element_sym(sym, tag, attrs, level, id),
-            Engine::Branch(e) => e.start_element_sym(sym, tag, attrs, level, id),
-            Engine::Twig(e) => e.start_element_sym(sym, tag, attrs, level, id),
-        }
+        on_machine!(self, e => e.start_element_sym(sym, tag, attrs, level, id))
     }
 
     fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
-        match self {
-            Engine::Path(e) => e.end_element_sym(sym, tag, level),
-            Engine::Branch(e) => e.end_element_sym(sym, tag, level),
-            Engine::Twig(e) => e.end_element_sym(sym, tag, level),
-        }
+        on_machine!(self, e => e.end_element_sym(sym, tag, level))
     }
 
     fn text_at(&mut self, text: &str, level: u32) {
-        match self {
-            Engine::Path(e) => e.text_at(text, level),
-            Engine::Branch(e) => e.text_at(text, level),
-            Engine::Twig(e) => e.text_at(text, level),
-        }
-    }
-
-    fn apply_batch(&mut self, batch: &EventBatch) {
-        match self {
-            Engine::Path(e) => e.apply_batch(batch),
-            Engine::Branch(e) => e.apply_batch(batch),
-            Engine::Twig(e) => e.apply_batch(batch),
-        }
+        on_machine!(self, e => e.text_at(text, level))
     }
 
     fn relevance(&self) -> Relevance {
@@ -464,129 +331,27 @@ impl<O: MachineObserver> StreamEngine for Engine<O> {
     }
 
     fn symbols(&self) -> Option<&SymbolTable> {
-        match self {
-            Engine::Path(e) => e.symbols(),
-            Engine::Branch(e) => e.symbols(),
-            Engine::Twig(e) => e.symbols(),
-        }
+        on_machine!(self, e => e.symbols())
     }
 
     fn needs_attributes(&self, sym: Symbol) -> bool {
-        match self {
-            Engine::Path(e) => e.needs_attributes(sym),
-            Engine::Branch(e) => e.needs_attributes(sym),
-            Engine::Twig(e) => e.needs_attributes(sym),
-        }
+        on_machine!(self, e => e.needs_attributes(sym))
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {
-        match self {
-            Engine::Path(e) => e.take_results(),
-            Engine::Branch(e) => e.take_results(),
-            Engine::Twig(e) => e.take_results(),
-        }
+        on_machine!(self, e => e.take_results())
     }
 
     fn stats(&self) -> &EngineStats {
-        match self {
-            Engine::Path(e) => e.stats(),
-            Engine::Branch(e) => e.stats(),
-            Engine::Twig(e) => e.stats(),
-        }
+        on_machine!(self, e => e.stats())
     }
 
     fn machine_size(&self) -> Option<usize> {
-        match self {
-            Engine::Path(e) => e.machine_size(),
-            Engine::Branch(e) => e.machine_size(),
-            Engine::Twig(e) => e.machine_size(),
-        }
+        on_machine!(self, e => e.machine_size())
     }
 }
 
-/// Adapter that drives any [`StreamEngine`] from SAX callbacks.
-pub struct EngineHandler<E> {
-    engine: E,
-}
-
-impl<E: StreamEngine> EngineHandler<E> {
-    /// Wraps an engine.
-    pub fn new(engine: E) -> Self {
-        EngineHandler { engine }
-    }
-
-    /// Unwraps the engine.
-    pub fn into_inner(self) -> E {
-        self.engine
-    }
-
-    /// Access to the wrapped engine.
-    pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
-    }
-}
-
-impl<E: StreamEngine> SaxHandler for EngineHandler<E> {
-    fn start_element(&mut self, name: &str, attrs: &[Attribute<'_>], level: u32, id: NodeId) {
-        self.engine.start_element(name, attrs, level, id);
-    }
-
-    fn end_element(&mut self, name: &str, level: u32) {
-        self.engine.end_element(name, level);
-    }
-
-    fn text(&mut self, text: &str) {
-        self.engine.text(text);
-    }
-}
-
-/// Runs `engine` over a complete XML stream and returns its results.
-pub fn run_engine<E: StreamEngine, R: Read>(
-    mut engine: E,
-    src: R,
-) -> Result<(Vec<NodeId>, E), SaxError> {
-    // Snapshot the engine's interner once: the hot loop then pays one
-    // FxHash lookup per event and dispatches on symbols. (Engines
-    // without a table stay on the string path via `Symbol::UNKNOWN` +
-    // the trait's default fallbacks.)
-    let table = engine.symbols().cloned();
-    let mut reader = SaxReader::new(src);
-    while let Some(event) = reader.next_event()? {
-        match event {
-            twigm_sax::Event::Start(tag) => {
-                let sym = match &table {
-                    Some(t) => t.lookup(tag.name()),
-                    None => Symbol::UNKNOWN,
-                };
-                // An empty Vec never allocates, so skipping attribute
-                // collection makes a non-matching start tag allocation
-                // free. (Caveat: attribute values of skipped tags are
-                // not entity-checked.)
-                let mut attrs: Vec<Attribute<'_>> = Vec::new();
-                if table.is_none() || engine.needs_attributes(sym) {
-                    for a in tag.attributes() {
-                        attrs.push(a?);
-                    }
-                }
-                if table.is_some() {
-                    engine.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
-                } else {
-                    engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
-                }
-            }
-            twigm_sax::Event::End(tag) => match &table {
-                Some(t) => engine.end_element_sym(t.lookup(tag.name()), tag.name(), tag.level()),
-                None => engine.end_element(tag.name(), tag.level()),
-            },
-            twigm_sax::Event::Text(t) => engine.text(&t),
-            _ => {}
-        }
-    }
-    let results = engine.take_results();
-    Ok((results, engine))
-}
-
-/// Driver-level byte/event accounting from [`run_engine_traced`].
+/// Stream-side accounting from the serial loop's telemetry hook.
 ///
 /// These are the stream-side quantities the engine counters cannot see:
 /// how many bytes and SAX events the reader produced, how deep the
@@ -607,7 +372,7 @@ pub struct StreamTelemetry {
     pub first_result_byte: Option<u64>,
 }
 
-/// A progress sample handed to [`run_engine_traced`]'s callback.
+/// A progress sample handed to a [`Telemetry`] hook's callback.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamProgress {
     /// Bytes consumed so far.
@@ -618,68 +383,142 @@ pub struct StreamProgress {
     pub results: u64,
 }
 
-/// Like [`run_engine`], but additionally accounts for bytes, events,
-/// recursion depth and time-to-first-result. Result arrival is detected
-/// through the engine's `stats().results` counter (every engine bumps it
-/// at the emitting transition), so the per-event cost over [`run_engine`]
-/// is a couple of counter reads; results are drained once at the end.
-/// When `progress_every` is non-zero, `progress` is invoked after every
-/// `progress_every` events — e.g. for stderr throughput reporting.
-pub fn run_engine_traced<E: StreamEngine, R: Read>(
-    mut engine: E,
+/// A per-event hook on [`drive`], the serial loop. `()` is the hook that
+/// is off: its `ENABLED = false` compiles the calls out of the loop.
+pub trait DriveHook<E: ?Sized> {
+    /// Whether [`drive`] calls the hook at all.
+    const ENABLED: bool = true;
+
+    /// Called after every reader event with the engine, the level of a
+    /// start tag (0 for other events) and the bytes consumed so far.
+    /// `Break` ends the run after this event.
+    fn after_event(&mut self, engine: &mut E, start_level: u32, bytes: u64) -> ControlFlow<()>;
+}
+
+impl<E: ?Sized> DriveHook<E> for () {
+    const ENABLED: bool = false;
+    fn after_event(&mut self, _: &mut E, _: u32, _: u64) -> ControlFlow<()> {
+        ControlFlow::Continue(())
+    }
+}
+
+/// The telemetry hook: accounts [`StreamTelemetry`], and when `every` is
+/// non-zero hands `progress` a sample after every `every` events.
+/// Result arrival is seen through the engine's `stats().results`
+/// counter (every engine bumps it at the emitting transition), so the
+/// per-event cost is a couple of counter updates.
+pub struct Telemetry<F> {
+    /// What has been accounted so far.
+    pub stream: StreamTelemetry,
+    every: u64,
+    progress: F,
+}
+
+impl<F: FnMut(&StreamProgress)> Telemetry<F> {
+    /// A hook calling `progress` every `every` events (never when 0).
+    pub fn new(every: u64, progress: F) -> Self {
+        Telemetry {
+            stream: StreamTelemetry::default(),
+            every,
+            progress,
+        }
+    }
+}
+
+impl<E: StreamEngine + ?Sized, F: FnMut(&StreamProgress)> DriveHook<E> for Telemetry<F> {
+    fn after_event(&mut self, engine: &mut E, start_level: u32, bytes: u64) -> ControlFlow<()> {
+        let results = engine.stats().results;
+        let t = &mut self.stream;
+        t.events += 1;
+        t.max_depth = t.max_depth.max(start_level);
+        if t.first_result_event.is_none() && results > 0 {
+            t.first_result_event = Some(t.events);
+            t.first_result_byte = Some(bytes);
+        }
+        if self.every != 0 && t.events.is_multiple_of(self.every) {
+            (self.progress)(&StreamProgress {
+                bytes,
+                events: t.events,
+                results,
+            });
+        }
+        ControlFlow::Continue(())
+    }
+}
+
+/// The serial driver: streams `src` through `engine`, one reader event at
+/// a time. Every start and end tag is looked up once in the engine's
+/// interner and delivered through the `_sym` entry points; an engine
+/// without an interner gets [`Symbol::UNKNOWN`] and the trait's string
+/// fallbacks. Attributes are decoded only when the engine's
+/// `needs_attributes` asks; the reader has already checked their
+/// references, so which tags a query mentions never decides whether a
+/// document is accepted. The loop never drains results; that is left to
+/// the caller (or a hook). Returns the number of bytes read.
+pub fn drive<E: StreamEngine + ?Sized, R: Read, H: DriveHook<E>>(
+    engine: &mut E,
     src: R,
-    progress_every: u64,
-    mut progress: impl FnMut(&StreamProgress),
-) -> Result<(Vec<NodeId>, E, StreamTelemetry), SaxError> {
+    hook: &mut H,
+) -> Result<u64, SaxError> {
+    // Snapshot the interner once: the loop then pays one FxHash lookup
+    // per tag and dispatches on symbols.
     let table = engine.symbols().cloned();
+    let lookup = |name: &str| table.as_ref().map_or(Symbol::UNKNOWN, |t| t.lookup(name));
     let mut reader = SaxReader::new(src);
-    let mut telemetry = StreamTelemetry::default();
     while let Some(event) = reader.next_event()? {
+        let mut start_level = 0;
         match event {
-            twigm_sax::Event::Start(tag) => {
-                telemetry.max_depth = telemetry.max_depth.max(tag.level());
-                let sym = match &table {
-                    Some(t) => t.lookup(tag.name()),
-                    None => Symbol::UNKNOWN,
-                };
+            Event::Start(tag) => {
+                start_level = tag.level();
+                let sym = lookup(tag.name());
+                // An empty Vec never allocates, so a tag whose
+                // attributes are skipped costs no allocation.
                 let mut attrs: Vec<Attribute<'_>> = Vec::new();
-                if table.is_none() || engine.needs_attributes(sym) {
+                if engine.needs_attributes(sym) {
                     for a in tag.attributes() {
                         attrs.push(a?);
                     }
                 }
-                if table.is_some() {
-                    engine.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
-                } else {
-                    engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
-                }
+                engine.start_element_sym(sym, tag.name(), &attrs, start_level, tag.id());
             }
-            twigm_sax::Event::End(tag) => match &table {
-                Some(t) => engine.end_element_sym(t.lookup(tag.name()), tag.name(), tag.level()),
-                None => engine.end_element(tag.name(), tag.level()),
-            },
-            twigm_sax::Event::Text(t) => engine.text(&t),
-            _ => {}
+            Event::End(tag) => engine.end_element_sym(lookup(tag.name()), tag.name(), tag.level()),
+            Event::Text(t) => engine.text(&t),
+            Event::Comment(_) | Event::ProcessingInstruction { .. } => {}
         }
-        // The event borrow has ended; the reader's offset is now the
-        // position just past the event that was processed.
-        telemetry.events += 1;
-        if telemetry.first_result_event.is_none() && engine.stats().results > 0 {
-            telemetry.first_result_event = Some(telemetry.events);
-            telemetry.first_result_byte = Some(reader.offset());
-        }
-        if progress_every != 0 && telemetry.events % progress_every == 0 {
-            progress(&StreamProgress {
-                bytes: reader.offset(),
-                events: telemetry.events,
-                results: engine.stats().results,
-            });
+        if H::ENABLED
+            && hook
+                .after_event(engine, start_level, reader.offset())
+                .is_break()
+        {
+            break;
         }
     }
-    telemetry.bytes = reader.offset();
-    debug_assert_eq!(telemetry.events, reader.events_emitted());
+    Ok(reader.offset())
+}
+
+/// Runs `engine` over a complete XML stream and returns its results.
+pub fn run_engine<E: StreamEngine, R: Read>(
+    mut engine: E,
+    src: R,
+) -> Result<(Vec<NodeId>, E), SaxError> {
+    drive(&mut engine, src, &mut ())?;
     let results = engine.take_results();
-    Ok((results, engine, telemetry))
+    Ok((results, engine))
+}
+
+/// Like [`run_engine`], with the [`Telemetry`] hook on: bytes, events,
+/// recursion depth and time-to-first-result, and `progress` called every
+/// `progress_every` events (never when 0).
+pub fn run_engine_traced<E: StreamEngine, R: Read>(
+    mut engine: E,
+    src: R,
+    progress_every: u64,
+    progress: impl FnMut(&StreamProgress),
+) -> Result<(Vec<NodeId>, E, StreamTelemetry), SaxError> {
+    let mut hook = Telemetry::new(progress_every, progress);
+    hook.stream.bytes = drive(&mut engine, src, &mut hook)?;
+    let results = engine.take_results();
+    Ok((results, engine, hook.stream))
 }
 
 /// One-call evaluation: compiles `query`, streams `src` through the

@@ -178,10 +178,14 @@ mod tests {
 
     fn fragments(query: &str, xml: &str) -> Vec<String> {
         let q = parse(query).unwrap();
-        let engine: Box<dyn StreamEngine> = if q.is_predicate_free() {
-            Box::new(PathM::new(&q).unwrap())
+        let mut path;
+        let mut twig;
+        let engine: &mut dyn StreamEngine = if q.is_predicate_free() {
+            path = PathM::new(&q).unwrap();
+            &mut path
         } else {
-            Box::new(TwigM::new(&q).unwrap())
+            twig = TwigM::new(&q).unwrap();
+            &mut twig
         };
         let collector = FragmentCollector::new(engine);
         let (_, mut collector) = run_engine(collector, xml.as_bytes()).unwrap();

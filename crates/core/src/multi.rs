@@ -124,9 +124,17 @@ impl<O: MachineObserver> MultiTwigM<O> {
     /// Creates an engine with no queries and an attached observer. Hook
     /// node ids are `(query, node)` pairs packed by [`encode_obs_node`].
     pub fn with_observer(observer: O) -> Self {
+        Self::over_symbols(SymbolTable::new(), observer)
+    }
+
+    /// Creates an engine whose queries intern into (a copy of) `table`,
+    /// so that `table` stays a prefix of this engine's symbol space —
+    /// how [`crate::pipeline::shard_queries`] gives every shard one
+    /// vocabulary.
+    pub(crate) fn over_symbols(table: SymbolTable, observer: O) -> Self {
         MultiTwigM {
             queries: Vec::new(),
-            table: SymbolTable::new(),
+            table,
             by_sym: Vec::new(),
             attr_syms: Vec::new(),
             attr_wild: false,
@@ -244,33 +252,13 @@ impl<O: MachineObserver> MultiTwigM<O> {
         std::mem::take(&mut self.results)
     }
 
-    /// Runs a complete document and returns its tagged results.
+    /// Runs a complete document through the serial driver and returns
+    /// its tagged results.
     pub fn run<R: std::io::Read>(
         &mut self,
         src: R,
     ) -> Result<Vec<TaggedResult>, twigm_sax::SaxError> {
-        let mut reader = twigm_sax::SaxReader::new(src);
-        while let Some(event) = reader.next_event()? {
-            match event {
-                twigm_sax::Event::Start(tag) => {
-                    // One interner lookup per event; attribute decoding
-                    // is skipped when no dispatched node tests them.
-                    let sym = self.table.lookup(tag.name());
-                    let mut attrs: Vec<Attribute<'_>> = Vec::new();
-                    if self.needs_attributes(sym) {
-                        for a in tag.attributes() {
-                            attrs.push(a?);
-                        }
-                    }
-                    self.start_element_sym(sym, &attrs, tag.level(), tag.id());
-                }
-                twigm_sax::Event::End(tag) => {
-                    self.end_element_sym(self.table.lookup(tag.name()), tag.level())
-                }
-                twigm_sax::Event::Text(t) => self.text(&t),
-                _ => {}
-            }
-        }
+        crate::engine::drive(self, src, &mut ())?;
         Ok(self.take_tagged_results())
     }
 
@@ -307,12 +295,6 @@ impl<O: MachineObserver> MultiTwigM<O> {
             }
         }
         slots
-    }
-
-    /// δs via the string path: one interner lookup, then symbol
-    /// dispatch.
-    pub fn start_element(&mut self, tag: &str, attrs: &[Attribute<'_>], level: u32, id: NodeId) {
-        self.start_element_sym(self.table.lookup(tag), attrs, level, id)
     }
 
     /// δs, applied across all registered machines via the shared dense
@@ -447,11 +429,6 @@ impl<O: MachineObserver> MultiTwigM<O> {
             symbols: Some(self.by_sym.iter().map(|nodes| !nodes.is_empty()).collect()),
             wants_text,
         }
-    }
-
-    /// δe via the string path.
-    pub fn end_element(&mut self, tag: &str, level: u32) {
-        self.end_element_sym(self.table.lookup(tag), level)
     }
 
     /// δe, applied across all registered machines via the shared dense
@@ -615,8 +592,7 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
         level: u32,
         id: NodeId,
     ) -> bool {
-        // Method-call syntax resolves to the inherent method.
-        MultiTwigM::start_element(self, tag, attrs, level, id);
+        MultiTwigM::start_element_sym(self, self.table.lookup(tag), attrs, level, id);
         false
     }
 
@@ -645,7 +621,7 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
     }
 
     fn end_element(&mut self, tag: &str, level: u32) {
-        MultiTwigM::end_element(self, tag, level);
+        MultiTwigM::end_element_sym(self, self.table.lookup(tag), level);
     }
 
     fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {

@@ -1,45 +1,55 @@
 //! Parallel pipelined execution: scan on a producer thread, evaluate on
 //! consumer threads.
 //!
-//! The serial driver ([`crate::engine::run_engine`]) interleaves
-//! scanning and evaluation on one thread; end-to-end time is the *sum*
-//! of parse and evaluation cost. The pipelined driver decouples them:
+//! The serial driver ([`crate::engine::drive`]) interleaves scanning and
+//! evaluation on one thread; end-to-end time is the *sum* of parse and
+//! evaluation cost. The pipeline ([`run_pipeline`]) decouples them:
 //!
 //! * a **producer thread** runs the [`SaxReader`] and packs events into
 //!   fixed-capacity [`EventBatch`]es (interned symbols, flat string
 //!   arena — no per-event allocation), applying the symbol-relevance
-//!   **prefilter** so events no query can dispatch on never cross the
+//!   **prefilter** so events no engine can dispatch on never cross a
 //!   channel;
-//! * batches flow through a **bounded channel** (backpressure: the
-//!   producer blocks when consumers lag) and drained batches are
-//!   recycled back, so the steady state performs no per-batch heap
-//!   traffic;
-//! * the **consumer** applies whole batches via
-//!   [`StreamEngine::apply_batch`] on the calling thread
-//!   ([`run_engine_pipelined`]), or — for multi-query union workloads —
-//!   the query set is **sharded** across worker threads that each
-//!   receive a broadcast of the batch stream
-//!   ([`run_multi_sharded`]), with results merged deterministically in
-//!   document order.
+//! * every batch is broadcast over one **bounded channel** per consumer
+//!   (backpressure: the producer blocks when a consumer lags), and
+//!   drained batches are recycled, so the steady state performs no
+//!   per-batch heap traffic;
+//! * one **consumer thread** per engine replays the batches into it. A
+//!   single query ([`run_engine_pipelined`]) has one consumer; a union
+//!   ([`run_multi_sharded`]) is sharded over several, and their results
+//!   merge deterministically in document order.
+//!
+//! The engines share one vocabulary. The shards of [`shard_queries`]
+//! each intern into a copy of the previous shard's table, so every
+//! shard's table is a prefix of the last one. The producer looks each
+//! tag up once in that last table, and the symbol it stores means the
+//! same in every consumer.
 //!
 //! End-to-end time becomes `max(parse, evaluate)` plus channel overhead
 //! instead of `parse + evaluate`, and the prefilter shrinks the
 //! `evaluate` term further. Every configuration returns byte-identical
 //! results to the serial driver; the differential suite in
-//! `twigm-testkit` enforces this over the generator corpus.
+//! `twigm-testkit` enforces this over the generator corpus. A panic on
+//! any pipeline thread ends the run with [`SaxError::Panicked`].
 
+use std::any::Any;
 use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{
+    channel, sync_channel, Receiver, Sender, SyncSender, TryRecvError, TrySendError,
+};
+use std::sync::Arc;
 use std::thread;
 
-use twigm_sax::batch::{BatchPlan, BatchProducer, EventBatch, DEFAULT_BATCH_EVENTS};
-use twigm_sax::{NodeId, SaxError, SaxReader, Symbol, SymbolTable};
+use twigm_sax::batch::{
+    BatchEventKind, BatchPlan, BatchProducer, EventBatch, DEFAULT_BATCH_EVENTS,
+};
+use twigm_sax::{NodeId, SaxError, SaxReader, Symbol};
 
 use crate::engine::StreamEngine;
 use crate::multi::MultiTwigM;
-use crate::relevance::Relevance;
+use crate::observe::NoopObserver;
+use crate::relevance::{union_into, Relevance};
 use crate::stats::EngineStats;
 
 /// Tuning knobs for the pipelined drivers.
@@ -89,153 +99,239 @@ pub struct PipelineStats {
     pub bytes: u64,
 }
 
-/// Builds the producer-side delivery plan from a consuming engine:
-/// clones its interner, snapshots its per-symbol attribute needs, and —
-/// when `prefilter` is on — its relevance analysis.
-fn plan_for<E: StreamEngine>(engine: &E, table: SymbolTable, prefilter: bool) -> BatchPlan {
-    let attr_syms = table
-        .iter()
-        .map(|(sym, _)| engine.needs_attributes(sym))
-        .collect();
-    let attr_unknown = engine.needs_attributes(Symbol::UNKNOWN);
-    let rel = if prefilter {
-        engine.relevance()
-    } else {
-        Relevance::all()
-    };
-    BatchPlan {
-        table,
-        attr_syms,
-        attr_unknown,
-        relevant: rel.symbols,
-        wants_text: rel.wants_text,
+impl PipelineStats {
+    /// Adds one thread's share of the counters.
+    fn absorb(&mut self, part: PipelineStats) {
+        self.batches += part.batches;
+        self.events_scanned += part.events_scanned;
+        self.events_delivered += part.events_delivered;
+        self.events_filtered += part.events_filtered;
+        self.producer_stalls += part.producer_stalls;
+        self.consumer_stalls += part.consumer_stalls;
+        self.max_queue_depth = self.max_queue_depth.max(part.max_queue_depth);
+        self.bytes += part.bytes;
     }
 }
 
-/// What flows producer → consumer: a recycled batch, or the scan error
-/// that ended the stream.
-type BatchMsg = Result<Box<EventBatch>, SaxError>;
+/// Builds the producer's delivery plan for a set of engines: the longest
+/// of their symbol tables, and the OR over the engines of their
+/// attribute needs and — when `prefilter` is on — their relevance.
+///
+/// # Panics
+///
+/// If some engine's table is not a prefix of the longest one, since the
+/// batch symbols would then mean different tags to different engines.
+fn plan_for<E: StreamEngine>(engines: &[E], prefilter: bool) -> BatchPlan {
+    let table = engines
+        .iter()
+        .filter_map(|e| e.symbols())
+        .max_by_key(|t| t.len())
+        .cloned()
+        .unwrap_or_default();
+    for t in engines.iter().filter_map(|e| e.symbols()) {
+        assert!(
+            t.iter().all(|(sym, name)| table.lookup(name) == sym),
+            "pipelined engines must share one symbol table (build shards with shard_queries)"
+        );
+    }
+    let mut rel = Relevance {
+        symbols: Some(Vec::new()),
+        wants_text: false,
+    };
+    for engine in engines {
+        let own = if prefilter {
+            engine.relevance()
+        } else {
+            Relevance::all()
+        };
+        union_into(&mut rel, &own);
+    }
+    BatchPlan {
+        attr_syms: table
+            .iter()
+            .map(|(sym, _)| engines.iter().any(|e| e.needs_attributes(sym)))
+            .collect(),
+        attr_unknown: engines.iter().any(|e| e.needs_attributes(Symbol::UNKNOWN)),
+        relevant: rel.symbols,
+        wants_text: rel.wants_text,
+        table,
+    }
+}
+
+/// A batch in flight: shared by every consumer it was broadcast to.
+type Batch = Arc<EventBatch>;
+
+/// Runs `engines` over `src` with one producer thread and one consumer
+/// thread per engine; each engine sees the whole (prefiltered) stream,
+/// and its results stay in it for the caller to drain.
+///
+/// The engines must share one symbol space: a single engine, or shards
+/// from [`shard_queries`]. A panic on any of the threads is returned as
+/// [`SaxError::Panicked`].
+pub fn run_pipeline<E: StreamEngine + Send, R: Read + Send>(
+    engines: &mut [E],
+    src: R,
+    opts: &PipelineOptions,
+) -> Result<PipelineStats, SaxError> {
+    let plan = plan_for(engines, opts.prefilter);
+    let batch_events = opts.batch_events.max(1);
+    let queue_depth = opts.queue_depth.max(1);
+    let received: Vec<AtomicU64> = engines.iter().map(|_| AtomicU64::new(0)).collect();
+    let mut stats = PipelineStats {
+        threads: engines.len() + 1,
+        ..PipelineStats::default()
+    };
+    let mut error = None;
+    thread::scope(|scope| {
+        let (free_tx, free_rx) = channel::<Batch>();
+        let mut txs = Vec::with_capacity(engines.len());
+        let mut handles = Vec::with_capacity(engines.len() + 1);
+        for (engine, received) in engines.iter_mut().zip(&received) {
+            let (tx, rx) = sync_channel::<Batch>(queue_depth);
+            txs.push(tx);
+            let free_tx = free_tx.clone();
+            let consumer = move || consume(engine, rx, free_tx, received);
+            handles.push(("consumer", scope.spawn(consumer)));
+        }
+        let received = &received;
+        let producer = move || {
+            let producer = BatchProducer::new(SaxReader::new(src), plan);
+            produce(producer, batch_events, &txs, free_rx, received)
+        };
+        handles.push(("producer", scope.spawn(producer)));
+        // The single join site: a thread's panic becomes an error.
+        for (thread, handle) in handles {
+            match handle.join() {
+                Ok(Ok(part)) => stats.absorb(part),
+                Ok(Err(e)) => {
+                    error.get_or_insert(e);
+                }
+                Err(payload) => {
+                    error.get_or_insert(SaxError::Panicked {
+                        thread,
+                        message: panic_message(payload.as_ref()),
+                    });
+                }
+            }
+        }
+    });
+    match error {
+        Some(e) => Err(e),
+        None => Ok(stats),
+    }
+}
+
+/// The producer loop: fills batches under the plan and broadcasts each
+/// to every consumer. Returning drops the producer's closure and with it
+/// the senders, which closes the consumers' channels.
+fn produce<R: Read>(
+    mut producer: BatchProducer<R>,
+    batch_events: usize,
+    txs: &[SyncSender<Batch>],
+    free: Receiver<Batch>,
+    received: &[AtomicU64],
+) -> Result<PipelineStats, SaxError> {
+    let mut stats = PipelineStats::default();
+    'produce: loop {
+        // Reuse a batch every consumer has let go of; allocate while
+        // none has come back.
+        let mut batch = free
+            .try_iter()
+            .find_map(|mut b| Arc::get_mut(&mut b).is_some().then_some(b))
+            .unwrap_or_default();
+        let fill = Arc::get_mut(&mut batch).expect("a recycled batch is unshared");
+        if !producer.next_batch(fill, batch_events)? {
+            break;
+        }
+        stats.batches += 1;
+        stats.events_scanned += fill.scanned;
+        stats.events_filtered += fill.filtered;
+        stats.events_delivered += fill.len() as u64;
+        for tx in txs {
+            match tx.try_send(batch.clone()) {
+                Ok(()) => {}
+                Err(TrySendError::Full(back)) => {
+                    stats.producer_stalls += 1;
+                    if tx.send(back).is_err() {
+                        break 'produce;
+                    }
+                }
+                Err(TrySendError::Disconnected(_)) => break 'produce,
+            }
+        }
+        for r in received {
+            let in_flight = stats.batches.saturating_sub(r.load(Ordering::Relaxed));
+            stats.max_queue_depth = stats.max_queue_depth.max(in_flight);
+        }
+    }
+    stats.bytes = producer.bytes_consumed();
+    Ok(stats)
+}
+
+/// The consumer loop: replays every batch into `engine` through the
+/// `_sym` entry points (the producer looked the symbols up), then hands
+/// the batch back for reuse. Returns this consumer's share of the
+/// counters, its stalls.
+fn consume<E: StreamEngine>(
+    engine: &mut E,
+    rx: Receiver<Batch>,
+    free: Sender<Batch>,
+    received: &AtomicU64,
+) -> Result<PipelineStats, SaxError> {
+    let mut stats = PipelineStats::default();
+    loop {
+        let batch = match rx.try_recv() {
+            Ok(batch) => batch,
+            Err(TryRecvError::Empty) => {
+                stats.consumer_stalls += 1;
+                match rx.recv() {
+                    Ok(batch) => batch,
+                    Err(_) => break,
+                }
+            }
+            Err(TryRecvError::Disconnected) => break,
+        };
+        received.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut attrs = Vec::new();
+            for event in batch.events() {
+                let name = batch.str_of(event);
+                match event.kind {
+                    BatchEventKind::Start => {
+                        attrs.clear();
+                        attrs.extend(batch.attrs_of(event));
+                        let id = NodeId::new(event.id);
+                        engine.start_element_sym(event.sym, name, &attrs, event.level, id);
+                    }
+                    BatchEventKind::End => engine.end_element_sym(event.sym, name, event.level),
+                    BatchEventKind::Text => engine.text_at(name, event.level),
+                }
+            }
+        }
+        // The producer may already be gone.
+        let _ = free.send(batch);
+    }
+    Ok(stats)
+}
+
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s.to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "(no message)".to_string()),
+    }
+}
 
 /// Runs `engine` over `src` with scanning pipelined onto a producer
-/// thread. Results are identical to [`crate::engine::run_engine`]; the
-/// engine itself stays on the calling thread (it need not be `Send`).
-///
-/// Engines without a symbol table fall back to the serial driver — the
-/// batched stream pre-dispatches on symbols and has nothing to offer
-/// them.
-pub fn run_engine_pipelined<E: StreamEngine, R: Read + Send>(
+/// thread; results are identical to [`crate::engine::run_engine`].
+pub fn run_engine_pipelined<E: StreamEngine + Send, R: Read + Send>(
     mut engine: E,
     src: R,
     opts: &PipelineOptions,
 ) -> Result<(Vec<NodeId>, E, PipelineStats), SaxError> {
-    let Some(table) = engine.symbols().cloned() else {
-        let (ids, engine) = crate::engine::run_engine(engine, src)?;
-        let stats = PipelineStats {
-            threads: 1,
-            ..PipelineStats::default()
-        };
-        return Ok((ids, engine, stats));
-    };
-    let plan = plan_for(&engine, table, opts.prefilter);
-    let batch_events = opts.batch_events.max(1);
-    let queue_depth = opts.queue_depth.max(1);
-
-    let (full_tx, full_rx) = sync_channel::<BatchMsg>(queue_depth);
-    let (free_tx, free_rx) = std::sync::mpsc::channel::<Box<EventBatch>>();
-    // Seed the recycle loop: queue_depth in flight, one being filled,
-    // one being consumed.
-    for _ in 0..queue_depth + 2 {
-        free_tx
-            .send(Box::new(EventBatch::new()))
-            .expect("receiver held");
-    }
-
-    let producer_stalls = AtomicU64::new(0);
-    let bytes = AtomicU64::new(0);
-    let sent = AtomicU64::new(0);
-    let received = AtomicU64::new(0);
-    let max_depth = AtomicU64::new(0);
-
-    let mut stats = PipelineStats {
-        threads: 2,
-        ..PipelineStats::default()
-    };
-    let mut error: Option<SaxError> = None;
-
-    thread::scope(|scope| {
-        let producer_stalls = &producer_stalls;
-        let bytes = &bytes;
-        let sent = &sent;
-        let received = &received;
-        let max_depth = &max_depth;
-        scope.spawn(move || {
-            let mut producer = BatchProducer::new(SaxReader::new(src), plan);
-            while let Ok(mut batch) = free_rx.recv() {
-                match producer.next_batch(&mut batch, batch_events) {
-                    Ok(true) => {
-                        let mut msg = Ok(batch);
-                        match full_tx.try_send(msg) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(back)) => {
-                                producer_stalls.fetch_add(1, Ordering::Relaxed);
-                                msg = back;
-                                if full_tx.send(msg).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
-                        let in_flight = sent.fetch_add(1, Ordering::Relaxed) + 1
-                            - received.load(Ordering::Relaxed);
-                        max_depth.fetch_max(in_flight, Ordering::Relaxed);
-                    }
-                    Ok(false) => break,
-                    Err(e) => {
-                        let _ = full_tx.send(Err(e));
-                        break;
-                    }
-                }
-            }
-            bytes.store(producer.bytes_consumed(), Ordering::Relaxed);
-        });
-
-        // Consumer: the calling thread, so `E: Send` is not required.
-        loop {
-            let msg = match full_rx.try_recv() {
-                Ok(msg) => msg,
-                Err(TryRecvError::Empty) => {
-                    stats.consumer_stalls += 1;
-                    match full_rx.recv() {
-                        Ok(msg) => msg,
-                        Err(_) => break,
-                    }
-                }
-                Err(TryRecvError::Disconnected) => break,
-            };
-            let batch = match msg {
-                Ok(batch) => batch,
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
-            };
-            received.fetch_add(1, Ordering::Relaxed);
-            stats.batches += 1;
-            stats.events_scanned += batch.scanned;
-            stats.events_filtered += batch.filtered;
-            stats.events_delivered += batch.len() as u64;
-            engine.apply_batch(&batch);
-            // Recycle; the producer may already be gone.
-            let _ = free_tx.send(batch);
-        }
-    });
-
-    if let Some(e) = error {
-        return Err(e);
-    }
-    stats.producer_stalls = producer_stalls.load(Ordering::Relaxed);
-    stats.max_queue_depth = max_depth.load(Ordering::Relaxed);
-    stats.bytes = bytes.load(Ordering::Relaxed);
+    let stats = run_pipeline(std::slice::from_mut(&mut engine), src, opts)?;
     let results = engine.take_results();
     Ok((results, engine, stats))
 }
@@ -256,260 +352,57 @@ pub struct ShardedOutcome {
     pub pipeline: PipelineStats,
 }
 
-/// Replays a batch into an engine whose symbol table differs from the
-/// one the batch was produced under: one lookup per event in the
-/// engine's own table. This is the shard worker's hot loop — the
-/// producer interns the union of all shard vocabularies, and each shard
-/// re-maps names into its private symbol space.
-fn apply_batch_relookup<E: StreamEngine>(engine: &mut E, table: &SymbolTable, batch: &EventBatch) {
-    let mut attrs = Vec::new();
-    for event in batch.events() {
-        match event.kind {
-            twigm_sax::BatchEventKind::Start => {
-                attrs.clear();
-                attrs.extend(batch.attrs_of(event));
-                let name = batch.str_of(event);
-                engine.start_element_sym(
-                    table.lookup(name),
-                    name,
-                    &attrs,
-                    event.level,
-                    NodeId::new(event.id),
-                );
-            }
-            twigm_sax::BatchEventKind::End => {
-                let name = batch.str_of(event);
-                engine.end_element_sym(table.lookup(name), name, event.level);
-            }
-            twigm_sax::BatchEventKind::Text => {
-                engine.text_at(batch.str_of(event), event.level);
-            }
-        }
-    }
-}
-
-/// Runs a union workload sharded across `shards.len()` worker threads.
+/// Runs a union workload sharded across `shards.len()` consumer threads.
 ///
-/// Each shard is a [`MultiTwigM`] holding a partition of the query set.
-/// One producer thread scans `src` under the *union* of the shards'
-/// plans (vocabulary, attribute needs and relevance are merged
-/// name-wise, since each shard interns its own symbol space) and
-/// broadcasts every batch to every worker; workers re-map tag names
-/// into their private tables and evaluate concurrently. Results are
-/// merged exactly as [`crate::engine::evaluate_union`] merges them —
-/// concatenate, sort by pre-order id, deduplicate — so the output is
-/// byte-identical to the serial union regardless of shard count or
-/// scheduling.
+/// Each shard is a [`MultiTwigM`] holding a partition of the query set,
+/// built by [`shard_queries`] so that all shards share one symbol space.
+/// Results are merged exactly as [`crate::engine::evaluate_union`]
+/// merges them — concatenate, sort by pre-order id, deduplicate — so the
+/// output is byte-identical to the serial union regardless of shard
+/// count or scheduling.
 pub fn run_multi_sharded<R: Read + Send>(
-    shards: Vec<MultiTwigM>,
+    mut shards: Vec<MultiTwigM>,
     src: R,
     opts: &PipelineOptions,
 ) -> Result<ShardedOutcome, SaxError> {
     assert!(!shards.is_empty(), "sharded run needs at least one shard");
-    let batch_events = opts.batch_events.max(1);
-    let queue_depth = opts.queue_depth.max(1);
-
-    // The producer's vocabulary is the union of every shard's: intern
-    // all names, then merge attribute needs and relevance name-wise.
-    let mut table = SymbolTable::new();
-    for shard in &shards {
-        for (_, name) in shard.symbols().iter() {
-            table.intern(name);
-        }
-    }
-    let attr_syms: Vec<bool> = table
-        .iter()
-        .map(|(_, name)| {
-            shards.iter().any(|s| {
-                let local = s.symbols().lookup(name);
-                local.is_known() && MultiTwigM::needs_attributes(s, local)
-            })
-        })
-        .collect();
-    let attr_unknown = shards
-        .iter()
-        .any(|s| MultiTwigM::needs_attributes(s, Symbol::UNKNOWN));
-    let mut wants_text = false;
-    let mut relevant = if opts.prefilter {
-        Some(vec![false; table.len()])
-    } else {
-        None
-    };
-    for shard in &shards {
-        let rel = if opts.prefilter {
-            shard.relevance()
-        } else {
-            Relevance::all()
-        };
-        wants_text |= rel.wants_text;
-        match (&mut relevant, rel.symbols) {
-            (Some(union), Some(local)) => {
-                for (sym, name) in shard.symbols().iter() {
-                    if local.get(sym.index().expect("iterated symbols are known")) == Some(&true) {
-                        let i = table.lookup(name).index().expect("interned above");
-                        union[i] = true;
-                    }
-                }
-            }
-            (slot, _) => *slot = None,
-        }
-    }
-    let plan = BatchPlan {
-        table,
-        attr_syms,
-        attr_unknown,
-        relevant,
-        wants_text,
-    };
-
-    let workers = shards.len();
-    let producer_stalls = AtomicU64::new(0);
-    let consumer_stalls = AtomicU64::new(0);
-    let bytes = AtomicU64::new(0);
-    let sent = AtomicU64::new(0);
-    let received: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-    let max_depth = AtomicU64::new(0);
-    let counts = Mutex::new((0u64, 0u64, 0u64, 0u64)); // batches, scanned, delivered, filtered
-    let error: Mutex<Option<SaxError>> = Mutex::new(None);
-
-    let worker_outputs = thread::scope(|scope| {
-        let mut txs: Vec<SyncSender<Arc<EventBatch>>> = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for (k, shard) in shards.into_iter().enumerate() {
-            let (tx, rx): (SyncSender<Arc<EventBatch>>, Receiver<Arc<EventBatch>>) =
-                sync_channel(queue_depth);
-            txs.push(tx);
-            let consumer_stalls = &consumer_stalls;
-            let received = &received;
-            handles.push(scope.spawn(move || {
-                let mut engine = shard;
-                let local = MultiTwigM::symbols(&engine).clone();
-                loop {
-                    let batch = match rx.try_recv() {
-                        Ok(batch) => batch,
-                        Err(TryRecvError::Empty) => {
-                            consumer_stalls.fetch_add(1, Ordering::Relaxed);
-                            match rx.recv() {
-                                Ok(batch) => batch,
-                                Err(_) => break,
-                            }
-                        }
-                        Err(TryRecvError::Disconnected) => break,
-                    };
-                    received[k].fetch_add(1, Ordering::Relaxed);
-                    apply_batch_relookup(&mut engine, &local, &batch);
-                }
-                let ids = StreamEngine::take_results(&mut engine);
-                (ids, engine)
-            }));
-        }
-
-        {
-            let producer_stalls = &producer_stalls;
-            let bytes = &bytes;
-            let sent = &sent;
-            let received = &received;
-            let max_depth = &max_depth;
-            let counts = &counts;
-            let error = &error;
-            scope.spawn(move || {
-                let mut producer = BatchProducer::new(SaxReader::new(src), plan);
-                let (mut batches, mut scanned, mut delivered, mut filtered) =
-                    (0u64, 0u64, 0u64, 0u64);
-                'produce: loop {
-                    let mut batch = EventBatch::new();
-                    match producer.next_batch(&mut batch, batch_events) {
-                        Ok(true) => {
-                            batches += 1;
-                            scanned += batch.scanned;
-                            filtered += batch.filtered;
-                            delivered += batch.len() as u64;
-                            let shared = Arc::new(batch);
-                            for tx in &txs {
-                                let mut msg = shared.clone();
-                                match tx.try_send(msg) {
-                                    Ok(()) => {}
-                                    Err(TrySendError::Full(back)) => {
-                                        producer_stalls.fetch_add(1, Ordering::Relaxed);
-                                        msg = back;
-                                        if tx.send(msg).is_err() {
-                                            break 'produce;
-                                        }
-                                    }
-                                    Err(TrySendError::Disconnected(_)) => break 'produce,
-                                }
-                            }
-                            let s = sent.fetch_add(1, Ordering::Relaxed) + 1;
-                            for r in received.iter() {
-                                let depth = s.saturating_sub(r.load(Ordering::Relaxed));
-                                max_depth.fetch_max(depth, Ordering::Relaxed);
-                            }
-                        }
-                        Ok(false) => break,
-                        Err(e) => {
-                            *error.lock().expect("no poisoned lock") = Some(e);
-                            break;
-                        }
-                    }
-                }
-                bytes.store(producer.bytes_consumed(), Ordering::Relaxed);
-                *counts.lock().expect("no poisoned lock") = (batches, scanned, delivered, filtered);
-                // Dropping `txs` closes every worker channel.
-            });
-        }
-
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect::<Vec<_>>()
-    });
-
-    if let Some(e) = error.into_inner().expect("no poisoned lock") {
-        return Err(e);
-    }
-
+    let pipeline = run_pipeline(&mut shards, src, opts)?;
     let mut stats = EngineStats::default();
-    let mut machine_size = 0usize;
-    let mut ids: Vec<u64> = Vec::new();
-    for (shard_ids, engine) in &worker_outputs {
-        stats.merge(MultiTwigM::stats(engine));
-        machine_size += MultiTwigM::machine_size(engine);
-        ids.extend(shard_ids.iter().map(|id| id.get()));
+    let mut ids = Vec::new();
+    for shard in &mut shards {
+        stats.merge(shard.stats());
+        ids.extend(StreamEngine::take_results(shard));
     }
     ids.sort_unstable();
     ids.dedup();
-
-    let (batches, scanned, delivered, filtered) = counts.into_inner().expect("no poisoned lock");
-    let pipeline = PipelineStats {
-        threads: workers + 1,
-        batches,
-        events_scanned: scanned,
-        events_delivered: delivered,
-        events_filtered: filtered,
-        producer_stalls: producer_stalls.load(Ordering::Relaxed),
-        consumer_stalls: consumer_stalls.load(Ordering::Relaxed),
-        max_queue_depth: max_depth.load(Ordering::Relaxed),
-        bytes: bytes.load(Ordering::Relaxed),
-    };
     Ok(ShardedOutcome {
-        ids: ids.into_iter().map(NodeId::new).collect(),
+        ids,
         stats,
-        machine_size,
+        machine_size: shards.iter().map(MultiTwigM::machine_size).sum(),
         pipeline,
     })
 }
 
 /// Partitions `branches` round-robin into at most `shards` multi-query
-/// engines (fewer when there are fewer branches), each with its own
-/// private symbol space — the unit [`run_multi_sharded`] consumes.
+/// engines (fewer when there are fewer branches) — the unit
+/// [`run_multi_sharded`] consumes. Each shard interns into a copy of the
+/// previous shard's symbol table, so all of them share one vocabulary.
 pub fn shard_queries(
     branches: &[twigm_xpath::Path],
     shards: usize,
 ) -> Result<Vec<MultiTwigM>, crate::machine::MachineError> {
     let shards = shards.clamp(1, branches.len().max(1));
-    let mut engines: Vec<MultiTwigM> = (0..shards).map(|_| MultiTwigM::new()).collect();
-    for (i, branch) in branches.iter().enumerate() {
-        engines[i % shards].add_query(branch)?;
+    let mut engines: Vec<MultiTwigM> = Vec::with_capacity(shards);
+    for k in 0..shards {
+        let table = engines
+            .last()
+            .map(|e| e.symbols().clone())
+            .unwrap_or_default();
+        let mut engine = MultiTwigM::over_symbols(table, NoopObserver);
+        for branch in branches.iter().skip(k).step_by(shards) {
+            engine.add_query(branch)?;
+        }
+        engines.push(engine);
     }
     Ok(engines)
 }
@@ -649,9 +542,9 @@ mod tests {
 
     #[test]
     fn sharded_union_handles_disjoint_vocabularies() {
-        // Shard 0 knows only {a, b}; shard 1 only {junk}. The producer's
-        // union table must cover both, and each worker must re-map
-        // names it has never interned to UNKNOWN.
+        // Shard 0's query mentions only {a, b}, shard 1's only {junk}.
+        // Shard 1 interns into a copy of shard 0's table, so the
+        // producer's symbols from the last table mean the same in both.
         let xml = nested_doc();
         let branches = parse_union("//a/b | //junk//junk").unwrap();
         let serial: Vec<u64> = evaluate_union(&branches, &xml[..])
@@ -672,6 +565,85 @@ mod tests {
         let shards = shard_queries(&branches, 2).unwrap();
         let err = run_multi_sharded(shards, &b"<r><a>"[..], &PipelineOptions::default());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn shards_share_one_symbol_space() {
+        let branches = parse_union("//a/b | //junk | //c[a]").unwrap();
+        let shards = shard_queries(&branches, 3).unwrap();
+        let last = shards[2].symbols();
+        for shard in &shards {
+            for (sym, name) in shard.symbols().iter() {
+                assert_eq!(last.lookup(name), sym, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share one symbol table")]
+    fn independently_built_shards_are_refused() {
+        let mut shards = vec![MultiTwigM::new(), MultiTwigM::new()];
+        shards[0].add_query(&parse("//a").unwrap()).unwrap();
+        shards[1].add_query(&parse("//b").unwrap()).unwrap();
+        let _ = run_multi_sharded(shards, &b"<r/>"[..], &PipelineOptions::default());
+    }
+
+    /// An engine that panics on the start tag named `.0`.
+    struct PanicsOn(&'static str, EngineStats);
+
+    impl StreamEngine for PanicsOn {
+        fn start_element(
+            &mut self,
+            tag: &str,
+            _: &[twigm_sax::Attribute<'_>],
+            _: u32,
+            _: NodeId,
+        ) -> bool {
+            if tag == self.0 {
+                panic!("test double met <{tag}>");
+            }
+            false
+        }
+        fn end_element(&mut self, _: &str, _: u32) {}
+        fn take_results(&mut self) -> Vec<NodeId> {
+            Vec::new()
+        }
+        fn stats(&self) -> &EngineStats {
+            &self.1
+        }
+    }
+
+    #[test]
+    fn a_consumer_panic_is_an_error() {
+        let engine = PanicsOn("boom", EngineStats::default());
+        let xml = &b"<r><a/><boom/><a/></r>"[..];
+        let opts = PipelineOptions {
+            batch_events: 1,
+            ..PipelineOptions::default()
+        };
+        match run_engine_pipelined(engine, xml, &opts) {
+            Err(SaxError::Panicked { thread, message }) => {
+                assert_eq!(thread, "consumer");
+                assert_eq!(message, "test double met <boom>");
+            }
+            other => panic!("expected a panic error, got {:?}", other.map(|r| r.0)),
+        }
+    }
+
+    #[test]
+    fn a_producer_panic_is_an_error() {
+        struct Fails;
+        impl std::io::Read for Fails {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                panic!("source failed")
+            }
+        }
+        let engine = Engine::new(&parse("//a").unwrap()).unwrap();
+        let err = run_engine_pipelined(engine, Fails, &PipelineOptions::default()).err();
+        assert_eq!(
+            err.map(|e| e.to_string()).as_deref(),
+            Some("pipeline producer thread panicked: source failed")
+        );
     }
 
     #[test]

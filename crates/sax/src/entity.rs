@@ -42,6 +42,16 @@ pub fn decode_entities_with<'a>(
     Ok(Cow::Owned(out))
 }
 
+/// Checks every entity and character reference in `raw` exactly as
+/// [`decode_entities_with`] would, without building the decoded value:
+/// the same errors at the same offset, and no allocation.
+pub(crate) fn check_entities(raw: &str, offset: u64, custom: Option<&EntityMap>) -> SaxResult<()> {
+    if !raw.contains('&') {
+        return Ok(());
+    }
+    decode_into(raw, offset, custom, 0, &mut ExpansionLen(0))
+}
+
 /// Decodes entity references in `raw`, appending the result to `out`
 /// (which is cleared first). Returns `false` — leaving `out` untouched —
 /// when `raw` contains no reference, so the caller can borrow `raw`
@@ -64,12 +74,46 @@ pub fn decode_entities_into(
     Ok(true)
 }
 
+/// Where [`decode_into`] writes: the decoded text, or only its length.
+trait Decoded {
+    fn push_str(&mut self, s: &str);
+    fn push(&mut self, c: char);
+    fn len(&self) -> usize;
+}
+
+impl Decoded for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s)
+    }
+    fn push(&mut self, c: char) {
+        String::push(self, c)
+    }
+    fn len(&self) -> usize {
+        String::len(self)
+    }
+}
+
+/// The length a decode would produce, for the expansion limit.
+struct ExpansionLen(usize);
+
+impl Decoded for ExpansionLen {
+    fn push_str(&mut self, s: &str) {
+        self.0 += s.len();
+    }
+    fn push(&mut self, c: char) {
+        self.0 += c.len_utf8();
+    }
+    fn len(&self) -> usize {
+        self.0
+    }
+}
+
 fn decode_into(
     raw: &str,
     offset: u64,
     custom: Option<&EntityMap>,
     depth: usize,
-    out: &mut String,
+    out: &mut impl Decoded,
 ) -> SaxResult<()> {
     if depth > MAX_ENTITY_DEPTH {
         return Err(SaxError::Syntax {
@@ -128,11 +172,18 @@ fn decode_char_ref(name: &str, offset: u64) -> SaxResult<char> {
         digits.parse::<u32>()
     };
     code.ok()
+        .filter(|&c| is_xml_char(c))
         .and_then(char::from_u32)
         .ok_or_else(|| SaxError::Syntax {
             offset,
             message: format!("invalid character reference `&{name};`"),
         })
+}
+
+/// XML 1.0 `Char`: `#x9 | #xA | #xD | [#x20-#xD7FF] | [#xE000-#xFFFD] |
+/// [#x10000-#x10FFFF]`. A character reference must name one of these.
+fn is_xml_char(c: u32) -> bool {
+    matches!(c, 0x9 | 0xA | 0xD | 0x20..=0xD7FF | 0xE000..=0xFFFD | 0x10000..=0x10FFFF)
 }
 
 /// Escapes `<`, `>` and `&` for use in character data.
@@ -209,6 +260,67 @@ mod tests {
         assert!(decode_entities("&#xD800;", 0).is_err()); // surrogate
         assert!(decode_entities("&#xyz;", 0).is_err());
         assert!(decode_entities("&#;", 0).is_err());
+    }
+
+    #[test]
+    fn char_refs_must_name_an_xml_char() {
+        // (reference, accepted) at each boundary of XML 1.0's `Char`.
+        let table = [
+            ("&#0;", false),
+            ("&#x8;", false),
+            ("&#x9;", true),
+            ("&#xA;", true),
+            ("&#xB;", false),
+            ("&#xC;", false),
+            ("&#xD;", true),
+            ("&#xE;", false),
+            ("&#x1F;", false),
+            ("&#x20;", true),
+            ("&#xD7FF;", true),
+            ("&#xD800;", false),
+            ("&#xDFFF;", false),
+            ("&#xE000;", true),
+            ("&#xFFFD;", true),
+            ("&#xFFFE;", false),
+            ("&#xFFFF;", false),
+            ("&#x10000;", true),
+            ("&#x10FFFF;", true),
+            ("&#x110000;", false),
+        ];
+        for (reference, accepted) in table {
+            let decoded = decode_entities(reference, 7);
+            assert_eq!(decoded.is_ok(), accepted, "{reference}");
+            assert_eq!(
+                check_entities(reference, 7, None).is_ok(),
+                accepted,
+                "{reference}"
+            );
+            if let Err(e) = decoded {
+                assert_eq!(
+                    e.to_string(),
+                    format!("syntax error at byte 7: invalid character reference `{reference}`")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn check_entities_reports_what_decoding_reports() {
+        let mut custom = EntityMap::new();
+        custom.insert("ok".into(), "&amp;".into());
+        custom.insert("bad".into(), "&nope;".into());
+        custom.insert("loop".into(), "&loop;".into());
+        for raw in [
+            "plain", "&ok;", "&bad;", "&loop;", "&bogus;", "a &amp b", "&#1;",
+        ] {
+            let decoded = decode_entities_with(raw, 3, Some(&custom)).map(|_| ());
+            let checked = check_entities(raw, 3, Some(&custom));
+            assert_eq!(
+                decoded.map_err(|e| e.to_string()),
+                checked.map_err(|e| e.to_string()),
+                "{raw}"
+            );
+        }
     }
 
     #[test]

@@ -80,6 +80,14 @@ pub enum SaxError {
         /// The configured limit in bytes.
         limit: usize,
     },
+    /// A thread of a pipelined run panicked, so the stream was not
+    /// fully processed.
+    Panicked {
+        /// Which thread: `producer` or `consumer`.
+        thread: &'static str,
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 impl fmt::Display for SaxError {
@@ -129,6 +137,9 @@ impl fmt::Display for SaxError {
                 f,
                 "markup starting at byte {offset} exceeds the {limit}-byte buffer limit"
             ),
+            SaxError::Panicked { thread, message } => {
+                write!(f, "pipeline {thread} thread panicked: {message}")
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use crate::entity::{decode_entities_with, EntityMap};
+use crate::entity::{check_entities, decode_entities_with, EntityMap};
 use crate::error::{SaxError, SaxResult};
 
 /// A unique, document-order (pre-order) identifier of an element node.
@@ -85,9 +85,9 @@ impl<'a> StartTag<'a> {
     /// Iterates over the tag's attributes, decoding entity references in
     /// values on the fly.
     ///
-    /// Attribute *syntax* was already validated by the reader, so the only
-    /// errors this iterator can produce are unknown entity references in
-    /// values.
+    /// Attribute syntax and references were already validated by the
+    /// reader, so this iterator yields no errors on a tag the reader
+    /// produced.
     pub fn attributes(&self) -> Attributes<'a> {
         Attributes {
             rest: self.attr_text,
@@ -115,10 +115,9 @@ pub struct Attributes<'a> {
     entities: Option<&'a EntityMap>,
 }
 
-impl<'a> Iterator for Attributes<'a> {
-    type Item = SaxResult<Attribute<'a>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl<'a> Attributes<'a> {
+    /// The next `(name, raw value)` pair, entity references undecoded.
+    fn next_raw(&mut self) -> Option<SaxResult<(&'a str, &'a str)>> {
         let rest = self
             .rest
             .trim_start_matches(|c: char| c.is_ascii_whitespace());
@@ -144,12 +143,38 @@ impl<'a> Iterator for Attributes<'a> {
             Some(i) => i,
             None => return Some(Err(syntax(self.offset, "unterminated attribute value"))),
         };
-        let raw_value = &value_rest[..close];
         self.rest = &value_rest[close + 1..];
-        match decode_entities_with(raw_value, self.offset, self.entities) {
-            Ok(value) => Some(Ok(Attribute { name, value })),
-            Err(e) => Some(Err(e)),
-        }
+        Some(Ok((name, &value_rest[..close])))
+    }
+}
+
+/// Checks the entity and character references in every attribute value
+/// of a tag's attribute text, reporting what [`StartTag::attributes`]
+/// would, without decoding any value.
+pub(crate) fn check_attribute_refs(
+    attr_text: &str,
+    offset: u64,
+    entities: &EntityMap,
+) -> SaxResult<()> {
+    let mut attrs = Attributes {
+        rest: attr_text,
+        offset,
+        entities: Some(entities),
+    };
+    while let Some(attr) = attrs.next_raw() {
+        check_entities(attr?.1, offset, Some(entities))?;
+    }
+    Ok(())
+}
+
+impl<'a> Iterator for Attributes<'a> {
+    type Item = SaxResult<Attribute<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        Some(self.next_raw()?.and_then(|(name, raw)| {
+            let value = decode_entities_with(raw, self.offset, self.entities)?;
+            Ok(Attribute { name, value })
+        }))
     }
 }
 

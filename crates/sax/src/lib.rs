@@ -11,8 +11,7 @@
 //! This crate provides exactly that event stream, produced by a pull-based
 //! reader ([`SaxReader`]) that works over any [`std::io::Read`] with a
 //! bounded internal buffer, so arbitrarily large documents can be processed
-//! in constant memory. A push-based API ([`SaxHandler`] + [`parse_reader`] /
-//! [`parse_bytes`]) is layered on top for engines that prefer callbacks.
+//! in constant memory.
 //!
 //! The parser handles start/end/empty tags, attributes, character data,
 //! CDATA sections, comments, processing instructions, the XML declaration,
@@ -50,7 +49,6 @@ pub mod batch;
 mod entity;
 mod error;
 mod event;
-mod handler;
 pub mod namespaces;
 mod reader;
 pub mod scan;
@@ -64,7 +62,6 @@ pub use entity::{
 };
 pub use error::{SaxError, SaxResult};
 pub use event::{Attribute, EndTag, Event, NodeId, OwnedEvent, StartTag};
-pub use handler::{parse_bytes, parse_reader, SaxHandler};
 pub use namespaces::{NamespaceTracker, Resolved};
 pub use reader::{FeedEvent, FeedReader, SaxReader};
 pub use symbol::{Symbol, SymbolTable};

@@ -5,7 +5,7 @@ use std::io::Read;
 
 use crate::entity::{decode_entities_into, EntityMap};
 use crate::error::{SaxError, SaxResult};
-use crate::event::{EndTag, Event, NodeId, StartTag};
+use crate::event::{check_attribute_refs, EndTag, Event, NodeId, StartTag};
 use crate::scan;
 
 /// Read granularity of the internal buffer.
@@ -71,6 +71,8 @@ enum Scanned {
     Start {
         name: (usize, usize),
         attr: (usize, usize),
+        /// Some attribute value contains `&`.
+        refs: bool,
         self_closing: bool,
         offset: u64,
     },
@@ -220,18 +222,26 @@ impl<R: Read> SaxReader<R> {
                 Scanned::Start {
                     name,
                     attr,
+                    refs,
                     self_closing,
                     offset,
                 } => {
                     // Validate UTF-8 before mutating state. Only the error
                     // path materializes an owned name.
                     self.str_at(name)?;
-                    self.str_at(attr)?;
+                    let attr_text = self.str_at(attr)?;
                     if self.open_offsets.is_empty() && self.root_seen {
                         return Err(SaxError::MultipleRoots {
                             offset,
                             name: self.str_at(name)?.to_string(),
                         });
+                    }
+                    // References in attribute values are checked here, for
+                    // every tag, so that whether a consumer decodes a tag's
+                    // attributes never decides whether the document is
+                    // accepted.
+                    if refs {
+                        check_attribute_refs(attr_text, offset, &self.entities)?;
                     }
                     self.push_open(name);
                     self.root_seen = true;
@@ -537,21 +547,24 @@ impl<R: Read> SaxReader<R> {
         self.validate_name(interior_start, name_end, offset)?;
         let name = (interior_start, name_end);
         let attr = (name_end, interior_end);
-        self.validate_attrs(attr, offset)?;
+        let refs = self.validate_attrs(attr, offset)?;
         self.pos += gt + 1;
         Ok(Scanned::Start {
             name,
             attr,
+            refs,
             self_closing,
             offset,
         })
     }
 
     /// Validates the syntactic shape `(S name S? = S? quoted-value)*` of an
-    /// attribute list and rejects duplicate attribute names.
-    fn validate_attrs(&self, range: (usize, usize), offset: u64) -> SaxResult<()> {
+    /// attribute list and rejects duplicate attribute names. Returns
+    /// whether some value contains `&`, i.e. has references to check.
+    fn validate_attrs(&self, range: (usize, usize), offset: u64) -> SaxResult<bool> {
         let bytes = &self.buf[range.0..range.1];
         let mut names: Vec<&[u8]> = Vec::new();
+        let mut refs = false;
         let mut i = 0;
         while i < bytes.len() {
             i += scan::space_run_len(&bytes[i..]);
@@ -580,8 +593,12 @@ impl<R: Read> SaxReader<R> {
                 Some(p) => i += p,
                 None => return Err(self.syntax_at(offset, "unterminated attribute value")),
             }
-            if scan::memchr(b'<', &bytes[value_start..i]).is_some() {
-                return Err(self.syntax_at(offset, "`<` in attribute value"));
+            let value = &bytes[value_start..i];
+            if let Some(p) = scan::memchr2(b'<', b'&', value) {
+                if scan::memchr(b'<', &value[p..]).is_some() {
+                    return Err(self.syntax_at(offset, "`<` in attribute value"));
+                }
+                refs = true;
             }
             i += 1;
             if names.contains(&name) {
@@ -592,7 +609,7 @@ impl<R: Read> SaxReader<R> {
             }
             names.push(name);
         }
-        Ok(())
+        Ok(refs)
     }
 
     fn validate_name(&self, start: usize, end: usize, offset: u64) -> SaxResult<()> {

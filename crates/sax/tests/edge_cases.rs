@@ -127,7 +127,13 @@ fn unterminated_element_reports_the_open_element() {
 
 #[test]
 fn invalid_numeric_refs_are_syntax_errors() {
-    for doc in ["<a>&#xD800;</a>", "<a>&#xyz;</a>", "<a>&#;</a>"] {
+    for doc in [
+        "<a>&#xD800;</a>",
+        "<a>&#xyz;</a>",
+        "<a>&#;</a>",
+        "<a>&#0;</a>",
+        "<a b=\"&#1;\"/>",
+    ] {
         match drain(doc.as_bytes()) {
             Err(SaxError::Syntax { .. }) => {}
             other => panic!("`{doc}` expected Syntax error, got {other:?}"),
@@ -160,6 +166,24 @@ fn structural_errors_have_precise_variants() {
     assert!(matches!(
         drain(b"<a>&nbsp;</a>"),
         Err(SaxError::UnknownEntity { name, .. }) if name == "nbsp"
+    ));
+}
+
+/// References in attribute values are checked by the reader itself, so
+/// a consumer that never reads a tag's attributes still gets the error.
+#[test]
+fn attribute_references_are_checked_without_reading_attributes() {
+    match drain(br#"<r><x a="&bogus;"/><y/></r>"#) {
+        Err(e @ SaxError::UnknownEntity { .. }) => {
+            assert_eq!(e.to_string(), "unknown entity `&bogus;` at byte 3");
+        }
+        other => panic!("expected UnknownEntity, got {other:?}"),
+    }
+    assert!(drain(br#"<!DOCTYPE r [<!ENTITY e "x">]><r a="&e;&amp;&#x41;"/>"#).is_ok());
+    // The tag's syntax is still judged first.
+    assert!(matches!(
+        drain(br#"<r a="&bogus;" a="1"/>"#),
+        Err(SaxError::DuplicateAttribute { .. })
     ));
 }
 

@@ -23,6 +23,11 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test -q --workspace
 
+# perfbench/ is a workspace of its own, so the workspace tests never
+# compile it; its self-tests pin the API it drives.
+echo "==> perfbench self-tests"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 # Time-bounded seeded fuzz over the release binary: same fixed seed every
 # run, so a red stage is reproducible with
 #   target/release/testkit-fuzz --seed 0x7716.. --cases N
@@ -59,6 +64,11 @@ if [ "$OBS_SMOKE" != 0 ]; then
     target/release/twigm --trace "$obs_tmp/trace.jsonl" '//a[b]//c' \
         "$obs_tmp/doc.xml" > /dev/null
     target/release/testkit-fuzz --validate-stats "$obs_tmp/stats.json"
+    # Standing -q queries ride the same serial loop, telemetry included.
+    target/release/twigm --progress --stats=json -q '//a[b]' -q '//c' \
+        "$obs_tmp/doc.xml" > "$obs_tmp/multi.txt" 2> "$obs_tmp/multi.json"
+    test "$(wc -l < "$obs_tmp/multi.txt")" -eq 3
+    target/release/testkit-fuzz --validate-stats "$obs_tmp/multi.json"
     target/release/testkit-fuzz --validate-trace "$obs_tmp/trace.json"
     target/release/testkit-fuzz --validate-trace "$obs_tmp/trace.jsonl"
     OBS_ABLATION_GATE=2 target/release/ablation_observer \
