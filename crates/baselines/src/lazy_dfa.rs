@@ -15,7 +15,7 @@ use twigm::engine::StreamEngine;
 use twigm::fxhash::FxHashMap;
 use twigm::machine::MachineError;
 use twigm::stats::EngineStats;
-use twigm_sax::{Attribute, NodeId};
+use twigm_sax::{Attribute, NodeId, Symbol};
 use twigm_xpath::{Axis, NameTest, Path};
 
 /// One NFA position: `j` means "steps `0..j` matched".
@@ -126,9 +126,12 @@ impl LazyDfa {
     }
 }
 
+/// No interner: the driver hands [`Symbol::UNKNOWN`] and the DFA
+/// transitions on the tag name.
 impl StreamEngine for LazyDfa {
-    fn start_element(
+    fn start_element_sym(
         &mut self,
+        _sym: Symbol,
         tag: &str,
         _attrs: &[Attribute<'_>],
         _level: u32,
@@ -149,7 +152,7 @@ impl StreamEngine for LazyDfa {
         }
     }
 
-    fn end_element(&mut self, _tag: &str, _level: u32) {
+    fn end_element_sym(&mut self, _sym: Symbol, _tag: &str, _level: u32) {
         self.stats.end_events += 1;
         self.stack.pop();
         self.stats.pops += 1;
@@ -168,7 +171,7 @@ impl StreamEngine for LazyDfa {
 mod tests {
     use super::*;
     use twigm::engine::run_engine;
-    use twigm::path::PathM;
+    use twigm::TwigM;
     use twigm_xpath::parse;
 
     fn run(query: &str, xml: &str) -> Vec<u64> {
@@ -202,7 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_pathm_on_mixed_queries() {
+    fn agrees_with_twigm_on_mixed_queries() {
         let xml = "<r><x><y><z/></y></x><y><z><z/></z></y><w><x><z/></x></w></r>";
         for q in ["//z", "//y//z", "/r/*/z", "//x/*", "//*//z", "/r//y/z"] {
             let query = parse(q).unwrap();
@@ -210,11 +213,11 @@ mod tests {
                 let e = LazyDfa::new(&query).unwrap();
                 run_engine(e, xml.as_bytes()).unwrap().0
             };
-            let pathm = {
-                let e = PathM::new(&query).unwrap();
+            let twig = {
+                let e = TwigM::new(&query).unwrap();
                 run_engine(e, xml.as_bytes()).unwrap().0
             };
-            assert_eq!(dfa, pathm, "disagreement on {q}");
+            assert_eq!(dfa, twig, "disagreement on {q}");
         }
     }
 

@@ -293,16 +293,6 @@ impl NaiveEnum {
 }
 
 impl StreamEngine for NaiveEnum {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.start_sym(self.machine.symbols().lookup(tag), attrs, level, id)
-    }
-
     fn start_element_sym(
         &mut self,
         sym: Symbol,
@@ -325,10 +315,6 @@ impl StreamEngine for NaiveEnum {
                 e.text.push_str(text);
             }
         }
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.end_sym(self.machine.symbols().lookup(tag), level)
     }
 
     fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {

@@ -2,7 +2,7 @@
 //! (the criterion companion of figure 7).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use twigm::{BranchM, PathM, StreamEngine, TwigM};
+use twigm::{StreamEngine, TwigM};
 use twigm_baselines::{inmem, LazyDfa, NaiveEnum};
 use twigm_datagen::Dataset;
 use twigm_xpath::parse;
@@ -28,16 +28,8 @@ fn bench_engines(c: &mut Criterion) {
             b.iter(|| run_engine(TwigM::new(&query).unwrap(), xml))
         });
         if query.is_predicate_free() {
-            group.bench_with_input(BenchmarkId::new("PathM", label), &book, |b, xml| {
-                b.iter(|| run_engine(PathM::new(&query).unwrap(), xml))
-            });
             group.bench_with_input(BenchmarkId::new("LazyDfa", label), &book, |b, xml| {
                 b.iter(|| run_engine(LazyDfa::new(&query).unwrap(), xml))
-            });
-        }
-        if query.is_branch_only() {
-            group.bench_with_input(BenchmarkId::new("BranchM", label), &book, |b, xml| {
-                b.iter(|| run_engine(BranchM::new(&query).unwrap(), xml))
             });
         }
         group.bench_with_input(BenchmarkId::new("NaiveEnum", label), &book, |b, xml| {

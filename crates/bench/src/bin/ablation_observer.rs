@@ -4,7 +4,7 @@
 //! For each query of the auction corpus the same document is streamed
 //! through `TwigM` five ways:
 //!
-//! * **plain** — `run_engine` with the default [`NoopObserver`]: the
+//! * **plain** — `run_engine` with the default [`twigm::NoopObserver`]: the
 //!   pre-observability hot path (no byte/event accounting, hooks
 //!   monomorphized away);
 //! * **traced** — `run_engine_traced` with `NoopObserver`: the

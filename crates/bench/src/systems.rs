@@ -14,8 +14,7 @@ use crate::harness::{run_stream_with_deadline, MeasuredRun, RunOutcome};
 /// A system under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum System {
-    /// The paper's contribution (auto-selecting PathM/BranchM/TwigM, as
-    /// the ViteX implementation does).
+    /// The paper's contribution: TwigM, which runs every query.
     TwigM,
     /// The XMLTK class: lazy DFA, `XP{/,//,*}` only.
     Xmltk,
@@ -42,7 +41,7 @@ impl System {
     /// Longer description for legends.
     pub fn description(&self) -> &'static str {
         match self {
-            System::TwigM => "TwigM (this paper; PathM/BranchM/TwigM auto-selected)",
+            System::TwigM => "TwigM (this paper; one machine for every query)",
             System::Xmltk => "XMLTK-class lazy DFA (XP{/,//,*} only)",
             System::Xsq => "XSQ-class explicit pattern-match enumeration",
             System::InMemory => "Galax/XMLTaskForce-class in-memory DOM evaluator",

@@ -17,14 +17,8 @@ pub enum OutputMode {
 /// Which engine evaluates the query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
-    /// Pick PathM / BranchM / TwigM by query class (default).
-    Auto,
-    /// Force the full TwigM machine.
+    /// The TwigM machine, which runs every query (default).
     Twig,
-    /// Force PathM (predicate-free queries only).
-    PathM,
-    /// Force BranchM (`XP{/,[]}` queries only).
-    BranchM,
     /// The explicit-enumeration baseline (for cross-checking).
     Naive,
     /// The lazy-DFA baseline (predicate-free queries only).
@@ -93,7 +87,8 @@ OPTIONS:
         --fragments     print matched elements as XML fragments
         --values        print attribute values (queries ending in /@attr)
     -c, --count         print only the number of matches
-        --engine NAME   auto|twig|path|branch|naive|dfa|dom (default auto)
+        --engine NAME   twig|naive|dfa|dom (default twig): the TwigM
+                        machine, or a baseline to cross-check it with
         --filter        with -q: boolean filtering — print each matching
                         query once and stop evaluating it (pub/sub mode)
         --stats[=MODE]  print run statistics to stderr; MODE is text
@@ -125,7 +120,7 @@ impl Args {
             queries: Vec::new(),
             file: None,
             output: OutputMode::Ids,
-            engine: EngineChoice::Auto,
+            engine: EngineChoice::Twig,
             stats: StatsMode::Off,
             trace: None,
             progress: false,
@@ -176,17 +171,12 @@ impl Args {
                 "--engine" => {
                     let name = argv.next().ok_or("--engine requires a value")?;
                     args.engine = match name.as_str() {
-                        "auto" => EngineChoice::Auto,
                         "twig" => EngineChoice::Twig,
-                        "path" => EngineChoice::PathM,
-                        "branch" => EngineChoice::BranchM,
                         "naive" => EngineChoice::Naive,
                         "dfa" => EngineChoice::Dfa,
                         "dom" => EngineChoice::Dom,
                         other => {
-                            return Err(format!(
-                                "unknown engine `{other}` (auto|twig|path|branch|naive|dfa|dom)"
-                            ))
+                            return Err(format!("unknown engine `{other}` (twig|naive|dfa|dom)"))
                         }
                     };
                 }
@@ -216,14 +206,9 @@ impl Args {
             return Err("--filter reports query names; --fragments/--values do not apply".into());
         }
         if args.trace.is_some() {
-            if matches!(
-                args.engine,
-                EngineChoice::Naive | EngineChoice::Dfa | EngineChoice::Dom
-            ) {
+            if args.engine != EngineChoice::Twig {
                 return Err(
-                    "--trace records machine transitions; it requires a machine engine \
-                     (auto|twig|path|branch)"
-                        .into(),
+                    "--trace records machine transitions; it requires --engine twig".into(),
                 );
             }
             if matches!(args.output, OutputMode::Fragments | OutputMode::Values) {
@@ -234,11 +219,8 @@ impl Args {
             }
         }
         if args.threads > 1 {
-            if matches!(
-                args.engine,
-                EngineChoice::Naive | EngineChoice::Dfa | EngineChoice::Dom
-            ) {
-                return Err("--threads requires a machine engine (auto|twig|path|branch)".into());
+            if args.engine != EngineChoice::Twig {
+                return Err("--threads requires --engine twig".into());
             }
             if matches!(args.output, OutputMode::Fragments | OutputMode::Values) {
                 return Err("--threads supports --ids/--count output only".into());
@@ -272,7 +254,26 @@ mod tests {
         assert_eq!(args.queries, vec!["//a"]);
         assert_eq!(args.file, None);
         assert_eq!(args.output, OutputMode::Ids);
-        assert_eq!(args.engine, EngineChoice::Auto);
+        assert_eq!(args.engine, EngineChoice::Twig);
+    }
+
+    #[test]
+    fn engine_vocabulary_is_twig_and_the_baselines() {
+        for (name, choice) in [
+            ("twig", EngineChoice::Twig),
+            ("naive", EngineChoice::Naive),
+            ("dfa", EngineChoice::Dfa),
+            ("dom", EngineChoice::Dom),
+        ] {
+            assert_eq!(
+                parse(&["--engine", name, "//a"]).unwrap().unwrap().engine,
+                choice
+            );
+        }
+        for retired in ["auto", "path", "branch"] {
+            let err = parse(&["--engine", retired, "//a"]).unwrap_err();
+            assert!(err.contains("(twig|naive|dfa|dom)"), "{retired}: {err}");
+        }
     }
 
     #[test]

@@ -9,10 +9,7 @@ use twigm::engine::{drive as drive_serial, Telemetry};
 use twigm::fragments::FragmentCollector;
 use twigm::multi::MultiTwigM;
 use twigm::pipeline::{run_multi_sharded, run_pipeline, shard_queries, PipelineOptions};
-use twigm::{
-    BranchM, Engine, EngineStats, MachineObserver, NoopObserver, PathM, PipelineStats,
-    StreamEngine, StreamProgress, StreamTelemetry, TwigM,
-};
+use twigm::{Engine, EngineStats, PipelineStats, StreamEngine, StreamProgress, StreamTelemetry};
 use twigm_baselines::{inmem, LazyDfa, NaiveEnum};
 use twigm_obs::trace::TransitionTracer;
 use twigm_obs::{format_progress, StatsReport};
@@ -23,17 +20,6 @@ use crate::args::{Args, EngineChoice, OutputMode, StatsMode};
 
 /// Events between `--progress` heartbeats.
 const PROGRESS_INTERVAL: u64 = 4096;
-
-/// Maps [`Engine::machine_name`] ("TwigM") to the `--engine` flag
-/// vocabulary ("twig") so stats reports use one naming scheme.
-fn engine_flag_name(machine_name: &str) -> &str {
-    match machine_name {
-        "PathM" => "path",
-        "BranchM" => "branch",
-        "TwigM" => "twig",
-        other => other,
-    }
-}
 
 /// Wall-clock measurements of one run, alongside the stream accounting
 /// of the serial loop's telemetry hook or the pipeline's counters.
@@ -147,36 +133,11 @@ pub fn run_single(
             let engine = LazyDfa::new(&query).map_err(|e| e.to_string())?;
             run_streaming(args, "dfa", engine, attr, input, out)
         }
-        choice => {
-            let engine = machine_engine(choice, &query, NoopObserver)?;
-            let name = engine_flag_name(engine.machine_name());
-            run_streaming(args, name, engine, attr, input, out)
+        EngineChoice::Twig => {
+            let engine = Engine::new(&query).map_err(|e| e.to_string())?;
+            run_streaming(args, "twig", engine, attr, input, out)
         }
     }
-}
-
-/// Compiles the machine `--engine` names (auto, twig, path or branch)
-/// with `observer` attached.
-fn machine_engine<O: MachineObserver>(
-    choice: EngineChoice,
-    query: &Path,
-    observer: O,
-) -> Result<Engine<O>, String> {
-    let engine = match choice {
-        EngineChoice::Auto => Engine::with_observer(query, observer),
-        EngineChoice::Twig => TwigM::with_observer(query, observer).map(Engine::Twig),
-        EngineChoice::PathM if !query.is_predicate_free() => {
-            return Err("--engine path requires a predicate-free query".into())
-        }
-        EngineChoice::PathM => PathM::with_observer(query, observer).map(Engine::Path),
-        EngineChoice::BranchM if !query.is_branch_only() => {
-            return Err("--engine branch requires an XP{/,[]} query".into())
-        }
-        EngineChoice::BranchM => BranchM::with_observer(query, observer).map(Engine::Branch),
-        // Args::parse keeps the baselines away from --trace.
-        _ => return Err("--trace requires a machine engine (auto|twig|path|branch)".into()),
-    };
-    engine.map_err(|e| e.to_string())
 }
 
 /// A `a | b` union: every branch compiles into the multi-query engine
@@ -190,7 +151,7 @@ fn run_union(
     input: &mut (dyn Read + Send),
     out: &mut dyn Write,
 ) -> Result<u64, String> {
-    if args.engine != EngineChoice::Auto && args.engine != EngineChoice::Twig {
+    if args.engine != EngineChoice::Twig {
         return Err("union queries run on the TwigM engine only".into());
     }
     if matches!(args.output, OutputMode::Fragments | OutputMode::Values) {
@@ -237,12 +198,13 @@ fn run_traced(
     input: &mut (dyn Read + Send),
     out: &mut dyn Write,
 ) -> Result<u64, String> {
-    let mut engine = machine_engine(args.engine, query, TransitionTracer::new())?;
-    let name = engine_flag_name(engine.machine_name());
+    // Args::parse keeps the baselines away from --trace.
+    let mut engine =
+        Engine::with_observer(query, TransitionTracer::new()).map_err(|e| e.to_string())?;
     let machine = engine.machine().clone();
     let meta = drive(args, &mut engine, input)?;
     let count = write_ids(args, out, &engine.take_results())?;
-    report_stats(args, name, engine.stats(), engine.machine_size(), &meta);
+    report_stats(args, "twig", engine.stats(), engine.machine_size(), &meta);
     let trace_path = args.trace.as_deref().expect("checked by caller");
     let tracer = engine.into_observer();
     if tracer.dropped() > 0 {
@@ -345,7 +307,7 @@ pub fn run_multi(
     input: &mut (dyn Read + Send),
     out: &mut dyn Write,
 ) -> Result<u64, String> {
-    if args.engine != EngineChoice::Auto && args.engine != EngineChoice::Twig {
+    if args.engine != EngineChoice::Twig {
         return Err("multiple queries run on the TwigM engine only".into());
     }
     let mut engine = MultiTwigM::new();
@@ -473,18 +435,15 @@ mod tests {
 
     #[test]
     fn every_engine_choice_runs() {
-        for engine in ["auto", "twig", "naive", "dom"] {
+        for engine in ["twig", "naive", "dom"] {
             let (out, _) = run(&["--engine", engine, "-c", "//a[b]"], "<r><a><b/></a></r>");
             assert_eq!(out, "1\n", "engine {engine}");
         }
-        for engine in ["path", "dfa"] {
+        for engine in ["twig", "dfa"] {
             let (out, _) = run(&["--engine", engine, "-c", "//a"], "<r><a/></r>");
             assert_eq!(out, "1\n", "engine {engine}");
         }
-        let (out, _) = run(
-            &["--engine", "branch", "-c", "/r/a[b]"],
-            "<r><a><b/></a></r>",
-        );
+        let (out, _) = run(&["-c", "/r/a[b]"], "<r><a><b/></a></r>");
         assert_eq!(out, "1\n");
     }
 
@@ -591,8 +550,9 @@ mod tests {
         /// Panics on the start tag `boom`.
         struct PanicsOnBoom(EngineStats);
         impl StreamEngine for PanicsOnBoom {
-            fn start_element(
+            fn start_element_sym(
                 &mut self,
+                _: twigm_sax::Symbol,
                 tag: &str,
                 _: &[twigm_sax::Attribute<'_>],
                 _: u32,
@@ -601,7 +561,7 @@ mod tests {
                 assert_ne!(tag, "boom", "test double met <boom>");
                 false
             }
-            fn end_element(&mut self, _: &str, _: u32) {}
+            fn end_element_sym(&mut self, _: twigm_sax::Symbol, _: &str, _: u32) {}
             fn take_results(&mut self) -> Vec<NodeId> {
                 Vec::new()
             }

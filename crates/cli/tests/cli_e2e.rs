@@ -106,6 +106,33 @@ fn help_prints_usage() {
     assert_eq!(code, 0);
 }
 
+/// TwigM is the only machine: the sub-machine and auto-selection names
+/// are gone from `--engine`, and the help lists what is left.
+#[test]
+fn engine_vocabulary_is_twig_and_the_baselines() {
+    for retired in ["path", "branch", "auto"] {
+        let (out, err, code) = run_with_stdin(&["--engine", retired, "//a"], b"<r><a/></r>");
+        assert_eq!(code, 2, "--engine {retired}");
+        assert_eq!(out, "", "--engine {retired}");
+        assert!(
+            err.contains("twig|naive|dfa|dom"),
+            "--engine {retired}: {err}"
+        );
+    }
+    let (help, _, _) = run_with_stdin(&["--help"], b"");
+    assert!(help.contains("twig|naive|dfa|dom (default twig)"), "{help}");
+    assert!(!help.contains("auto"), "{help}");
+}
+
+/// A predicate-free query runs on TwigM and says so in its stats.
+#[test]
+fn predicate_free_queries_report_the_twig_engine() {
+    let (out, err, code) = run_with_stdin(&["--stats=json", "//a/b"], b"<r><a><b/></a></r>");
+    assert_eq!(code, 0);
+    assert_eq!(out, "2\n");
+    assert!(err.contains(r#""engine":"twig""#), "{err}");
+}
+
 #[test]
 fn dom_engine_cross_checks_twig() {
     let xml = b"<r><a><b/><c/></a><a><b/></a></r>";

@@ -6,7 +6,7 @@
 //! wrapped engine decides each owner — the attribute analogue of
 //! [`crate::fragments::FragmentCollector`].
 
-use twigm_sax::{Attribute, NodeId};
+use twigm_sax::{Attribute, NodeId, Symbol, SymbolTable};
 
 use crate::engine::StreamEngine;
 use crate::fxhash::FxHashMap;
@@ -53,15 +53,18 @@ impl<E: StreamEngine> AttrCollector<E> {
     }
 }
 
+/// Forwards the inner engine's interner, so the driver's symbols reach it
+/// unchanged.
 impl<E: StreamEngine> StreamEngine for AttrCollector<E> {
-    fn start_element(
+    fn start_element_sym(
         &mut self,
+        sym: Symbol,
         tag: &str,
         attrs: &[Attribute<'_>],
         level: u32,
         id: NodeId,
     ) -> bool {
-        let became_candidate = self.inner.start_element(tag, attrs, level, id);
+        let became_candidate = self.inner.start_element_sym(sym, tag, attrs, level, id);
         if became_candidate {
             if let Some(a) = attrs.iter().find(|a| a.name == self.attr) {
                 self.pending.insert(id.get(), a.value.clone().into_owned());
@@ -75,12 +78,16 @@ impl<E: StreamEngine> StreamEngine for AttrCollector<E> {
         self.inner.text(text);
     }
 
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.inner.end_element(tag, level);
+    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
+        self.inner.end_element_sym(sym, tag, level);
         self.drain_decisions();
         if level == 1 {
             self.pending.clear();
         }
+    }
+
+    fn symbols(&self) -> Option<&SymbolTable> {
+        self.inner.symbols()
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {

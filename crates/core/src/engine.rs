@@ -1,4 +1,4 @@
-//! The common streaming-engine interface and the auto-selecting driver.
+//! The common streaming-engine interface and the serial driver.
 
 use std::fmt;
 use std::io::Read;
@@ -7,11 +7,9 @@ use std::ops::ControlFlow;
 use twigm_sax::{Attribute, Event, NodeId, SaxError, SaxReader, Symbol, SymbolTable};
 use twigm_xpath::Path;
 
-use crate::branch::BranchM;
-use crate::machine::{Machine, MachineError};
-use crate::observe::{MachineObserver, NoopObserver};
-use crate::path::PathM;
-use crate::relevance::{machine_relevance, Relevance};
+use crate::machine::MachineError;
+use crate::observe::NoopObserver;
+use crate::relevance::Relevance;
 use crate::stats::EngineStats;
 use crate::twig::TwigM;
 
@@ -23,23 +21,12 @@ use crate::twig::TwigM;
 /// with [`StreamEngine::take_results`] (possibly incrementally, after any
 /// event).
 pub trait StreamEngine {
-    /// Processes a start tag. Returns `true` when the element was pushed
-    /// onto the return node's stack (i.e. it became a solution candidate)
-    /// — used by the fragment collector to know what to record.
-    fn start_element(&mut self, tag: &str, attrs: &[Attribute<'_>], level: u32, id: NodeId)
-        -> bool;
-
-    /// Processes character data (may arrive in chunks).
-    fn text(&mut self, _text: &str) {}
-
-    /// Processes an end tag.
-    fn end_element(&mut self, tag: &str, level: u32);
-
-    /// Symbol-dispatch start tag: `sym` is `self.symbols().lookup(tag)`,
-    /// computed once by the driver. Engines with a symbol table override
-    /// this to dispatch on dense tables without re-hashing `tag`; the
-    /// default falls back to the string path so existing implementations
-    /// keep compiling.
+    /// Processes a start tag. `sym` is `self.symbols().lookup(tag)`,
+    /// computed once by the driver ([`Symbol::UNKNOWN`] for an engine
+    /// without an interner, which reads `tag` instead). Returns `true`
+    /// when the element was pushed onto the return node's stack (i.e. it
+    /// became a solution candidate) — used by the fragment collector to
+    /// know what to record.
     fn start_element_sym(
         &mut self,
         sym: Symbol,
@@ -47,21 +34,18 @@ pub trait StreamEngine {
         attrs: &[Attribute<'_>],
         level: u32,
         id: NodeId,
-    ) -> bool {
-        let _ = sym;
-        self.start_element(tag, attrs, level, id)
-    }
+    ) -> bool;
 
-    /// Symbol-dispatch end tag; same contract as
+    /// Processes character data (may arrive in chunks).
+    fn text(&mut self, _text: &str) {}
+
+    /// Processes an end tag; same contract as
     /// [`StreamEngine::start_element_sym`].
-    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
-        let _ = sym;
-        self.end_element(tag, level)
-    }
+    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32);
 
-    /// The engine's interner, when it has one. Drivers that see `Some`
-    /// perform one lookup per event and call the `_sym` entry points;
-    /// `None` (the default) keeps them on the string path.
+    /// The engine's interner, when it has one. Drivers look every tag up
+    /// in it once; `None` (the default) makes every symbol
+    /// [`Symbol::UNKNOWN`].
     fn symbols(&self) -> Option<&SymbolTable> {
         None
     }
@@ -115,22 +99,8 @@ pub trait StreamEngine {
 }
 
 impl<E: StreamEngine + ?Sized> StreamEngine for &mut E {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        (**self).start_element(tag, attrs, level, id)
-    }
-
     fn text(&mut self, text: &str) {
         (**self).text(text)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        (**self).end_element(tag, level)
     }
 
     fn start_element_sym(
@@ -216,140 +186,14 @@ impl From<MachineError> for EvalError {
     }
 }
 
-/// An engine that picks the cheapest machine for the query (paper §3):
-/// [`PathM`] for `XP{/,//,*}`, [`BranchM`] for `XP{/,[]}`, and [`TwigM`]
-/// for the full language.
+/// The single-query engine: [`TwigM`] runs every query of the language,
+/// including the predicate-free (`XP{/,//,*}`) and child-only
+/// (`XP{/,[]}`) ones that the paper's §3 teaching machines PathM and
+/// BranchM are restricted to — a path pattern is a twig with no branches.
 ///
-/// Generic over a [`MachineObserver`] like the machines themselves; the
-/// default [`NoopObserver`] keeps `Engine` the plain unobserved driver.
-pub enum Engine<O: MachineObserver = NoopObserver> {
-    /// Predicate-free query.
-    Path(PathM<O>),
-    /// Child-axis-only query with predicates.
-    Branch(BranchM<O>),
-    /// The general machine.
-    Twig(TwigM<O>),
-}
-
-impl Engine {
-    /// Compiles `query`, selecting the machine by the query's class.
-    pub fn new(query: &Path) -> Result<Engine, MachineError> {
-        Engine::with_observer(query, NoopObserver)
-    }
-}
-
-/// Evaluates `$body` with `$e` bound to whichever machine `$engine`
-/// holds.
-macro_rules! on_machine {
-    ($engine:expr, $e:ident => $body:expr) => {
-        match $engine {
-            Engine::Path($e) => $body,
-            Engine::Branch($e) => $body,
-            Engine::Twig($e) => $body,
-        }
-    };
-}
-
-impl<O: MachineObserver> Engine<O> {
-    /// Compiles `query` with an attached observer, selecting the machine
-    /// by the query's class.
-    pub fn with_observer(query: &Path, observer: O) -> Result<Engine<O>, MachineError> {
-        if query.is_predicate_free() {
-            Ok(Engine::Path(PathM::with_observer(query, observer)?))
-        } else if query.is_branch_only() {
-            Ok(Engine::Branch(BranchM::with_observer(query, observer)?))
-        } else {
-            Ok(Engine::Twig(TwigM::with_observer(query, observer)?))
-        }
-    }
-
-    /// Which machine was selected, as a display string.
-    pub fn machine_name(&self) -> &'static str {
-        match self {
-            Engine::Path(_) => "PathM",
-            Engine::Branch(_) => "BranchM",
-            Engine::Twig(_) => "TwigM",
-        }
-    }
-
-    /// The compiled machine (e.g. to label observer node ids).
-    pub fn machine(&self) -> &Machine {
-        on_machine!(self, e => e.machine())
-    }
-
-    /// The attached observer.
-    pub fn observer(&self) -> &O {
-        on_machine!(self, e => e.observer())
-    }
-
-    /// Consumes the engine, returning the observer.
-    pub fn into_observer(self) -> O {
-        on_machine!(self, e => e.into_observer())
-    }
-}
-
-impl<O: MachineObserver> StreamEngine for Engine<O> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        on_machine!(self, e => e.start_element(tag, attrs, level, id))
-    }
-
-    fn text(&mut self, text: &str) {
-        on_machine!(self, e => e.text(text))
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        on_machine!(self, e => e.end_element(tag, level))
-    }
-
-    fn start_element_sym(
-        &mut self,
-        sym: Symbol,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        on_machine!(self, e => e.start_element_sym(sym, tag, attrs, level, id))
-    }
-
-    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
-        on_machine!(self, e => e.end_element_sym(sym, tag, level))
-    }
-
-    fn text_at(&mut self, text: &str, level: u32) {
-        on_machine!(self, e => e.text_at(text, level))
-    }
-
-    fn relevance(&self) -> Relevance {
-        machine_relevance(self.machine())
-    }
-
-    fn symbols(&self) -> Option<&SymbolTable> {
-        on_machine!(self, e => e.symbols())
-    }
-
-    fn needs_attributes(&self, sym: Symbol) -> bool {
-        on_machine!(self, e => e.needs_attributes(sym))
-    }
-
-    fn take_results(&mut self) -> Vec<NodeId> {
-        on_machine!(self, e => e.take_results())
-    }
-
-    fn stats(&self) -> &EngineStats {
-        on_machine!(self, e => e.stats())
-    }
-
-    fn machine_size(&self) -> Option<usize> {
-        on_machine!(self, e => e.machine_size())
-    }
-}
+/// Generic over a [`crate::MachineObserver`]; the default [`NoopObserver`]
+/// keeps `Engine` the plain unobserved machine.
+pub type Engine<O = NoopObserver> = TwigM<O>;
 
 /// Stream-side accounting from the serial loop's telemetry hook.
 ///
@@ -448,9 +292,8 @@ impl<E: StreamEngine + ?Sized, F: FnMut(&StreamProgress)> DriveHook<E> for Telem
 
 /// The serial driver: streams `src` through `engine`, one reader event at
 /// a time. Every start and end tag is looked up once in the engine's
-/// interner and delivered through the `_sym` entry points; an engine
-/// without an interner gets [`Symbol::UNKNOWN`] and the trait's string
-/// fallbacks. Attributes are decoded only when the engine's
+/// interner; an engine without an interner gets [`Symbol::UNKNOWN`] and
+/// reads the tag name. Attributes are decoded only when the engine's
 /// `needs_attributes` asks; the reader has already checked their
 /// references, so which tags a query mentions never decides whether a
 /// document is accepted. The loop never drains results; that is left to
@@ -521,8 +364,8 @@ pub fn run_engine_traced<E: StreamEngine, R: Read>(
     Ok((results, engine, hook.stream))
 }
 
-/// One-call evaluation: compiles `query`, streams `src` through the
-/// best-fitting machine, and returns the matched node ids in decision
+/// One-call evaluation: compiles `query`, streams `src` through
+/// [`TwigM`], and returns the matched node ids in decision
 /// order.
 pub fn evaluate<R: Read>(query: &Path, src: R) -> Result<Vec<NodeId>, EvalError> {
     let engine = Engine::new(query)?;
@@ -571,18 +414,6 @@ mod tests {
     use twigm_xpath::parse;
 
     #[test]
-    fn engine_selects_the_cheapest_machine() {
-        let q = parse("//a//b").unwrap();
-        assert_eq!(Engine::new(&q).unwrap().machine_name(), "PathM");
-        let q = parse("/a[b]/c").unwrap();
-        assert_eq!(Engine::new(&q).unwrap().machine_name(), "BranchM");
-        let q = parse("//a[b]/c").unwrap();
-        assert_eq!(Engine::new(&q).unwrap().machine_name(), "TwigM");
-        let q = parse("/a/*[b]").unwrap();
-        assert_eq!(Engine::new(&q).unwrap().machine_name(), "TwigM");
-    }
-
-    #[test]
     fn evaluate_end_to_end() {
         let xml = b"<r><a><b/></a><a/></r>" as &[u8];
         let q = parse("//a/b").unwrap();
@@ -616,7 +447,7 @@ mod tests {
         // <r><a><b></b></a><a></a></r> = 8 events.
         assert_eq!(telemetry.events, 8);
         assert_eq!(telemetry.max_depth, 3);
-        // PathM emits b on its start tag: the 3rd event.
+        // A predicate-free query emits b on its start tag: the 3rd event.
         assert_eq!(telemetry.first_result_event, Some(3));
         assert!(telemetry.first_result_byte.unwrap() <= telemetry.bytes);
     }

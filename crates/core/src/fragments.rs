@@ -14,7 +14,7 @@
 //! buffering all predicate-capable streaming processors perform (XSQ's
 //! buffer, TurboXPath's work areas).
 
-use twigm_sax::{escape_attr, escape_text, Attribute, NodeId};
+use twigm_sax::{escape_attr, escape_text, Attribute, NodeId, Symbol, SymbolTable};
 
 use crate::engine::StreamEngine;
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -36,8 +36,8 @@ pub struct FragmentCollector<E> {
     open: Vec<Recording>,
     /// Fragments of closed but undecided candidates.
     pending: FxHashMap<u64, String>,
-    /// Ids decided before their fragment closed (PathM decides at the
-    /// start tag).
+    /// Ids decided before their fragment closed (a predicate-free query
+    /// decides at the start tag).
     decided_early: FxHashSet<u64>,
     /// Decided `(id, fragment)` pairs, in decision order.
     fragments: Vec<(NodeId, String)>,
@@ -81,15 +81,19 @@ impl<E: StreamEngine> FragmentCollector<E> {
     }
 }
 
+/// Forwards the inner engine's interner, so the driver's symbols reach
+/// it unchanged. Attributes are always wanted: every recorded tag is
+/// serialized with them.
 impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
-    fn start_element(
+    fn start_element_sym(
         &mut self,
+        sym: Symbol,
         tag: &str,
         attrs: &[Attribute<'_>],
         level: u32,
         id: NodeId,
     ) -> bool {
-        let became_candidate = self.inner.start_element(tag, attrs, level, id);
+        let became_candidate = self.inner.start_element_sym(sym, tag, attrs, level, id);
         if !self.open.is_empty() || became_candidate {
             let mut tag_text = String::with_capacity(tag.len() + 2);
             tag_text.push('<');
@@ -127,8 +131,8 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
         }
     }
 
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.inner.end_element(tag, level);
+    fn end_element_sym(&mut self, sym: Symbol, tag: &str, level: u32) {
+        self.inner.end_element_sym(sym, tag, level);
         if !self.open.is_empty() {
             for rec in &mut self.open {
                 rec.buf.push_str("</");
@@ -155,6 +159,10 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
         }
     }
 
+    fn symbols(&self) -> Option<&SymbolTable> {
+        self.inner.symbols()
+    }
+
     fn take_results(&mut self) -> Vec<NodeId> {
         std::mem::take(&mut self.result_ids)
     }
@@ -172,22 +180,12 @@ impl<E: StreamEngine> StreamEngine for FragmentCollector<E> {
 mod tests {
     use super::*;
     use crate::engine::run_engine;
-    use crate::path::PathM;
     use crate::twig::TwigM;
     use twigm_xpath::parse;
 
     fn fragments(query: &str, xml: &str) -> Vec<String> {
         let q = parse(query).unwrap();
-        let mut path;
-        let mut twig;
-        let engine: &mut dyn StreamEngine = if q.is_predicate_free() {
-            path = PathM::new(&q).unwrap();
-            &mut path
-        } else {
-            twig = TwigM::new(&q).unwrap();
-            &mut twig
-        };
-        let collector = FragmentCollector::new(engine);
+        let collector = FragmentCollector::new(TwigM::new(&q).unwrap());
         let (_, mut collector) = run_engine(collector, xml.as_bytes()).unwrap();
         collector
             .take_fragments()
@@ -204,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn fragments_with_pathm_decided_at_start() {
+    fn fragments_decided_at_start() {
         let xml = "<r><a><b>x</b></a></r>";
         let frags = fragments("//a", xml);
         assert_eq!(frags, vec!["<a><b>x</b></a>"]);

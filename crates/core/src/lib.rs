@@ -29,17 +29,15 @@
 //! document depth, `B` = query branching) and memory bounded by
 //! `|Q| · R` stack entries plus undecided candidates.
 //!
-//! # The machines
+//! # One machine
 //!
-//! Following the paper's §3, three machines are provided:
-//!
-//! * [`PathM`] evaluates `XP{/,//,*}` (no predicates) and emits results
-//!   the moment the return node's start tag arrives;
-//! * [`BranchM`] evaluates `XP{/,[]}` (no `//`/`*`), where each query node
-//!   has at most one active match and a stack is unnecessary;
-//! * [`TwigM`] combines both techniques for the full language.
-//!
-//! [`Engine`] picks the cheapest machine for a given query automatically.
+//! The paper's §3 builds up to TwigM through two teaching machines:
+//! PathM for `XP{/,//,*}` (no predicates) and BranchM for `XP{/,[]}`
+//! (no `//`/`*`). [`TwigM`] generalises both — a path pattern is a twig
+//! with no branches — and it runs every single query here; [`Engine`]
+//! names it. On a predicate-free query it still emits each result the
+//! moment the return node's start tag arrives. [`MultiTwigM`] runs many
+//! queries over one pass.
 //!
 //! # Quick start
 //!
@@ -60,21 +58,18 @@
 #![warn(missing_docs)]
 
 pub mod attrs;
-pub mod branch;
 pub mod engine;
 pub mod fragments;
 pub mod fxhash;
 pub mod machine;
 pub mod multi;
 pub mod observe;
-pub mod path;
 pub mod pipeline;
 pub mod query;
 pub mod relevance;
 pub mod stats;
 pub mod twig;
 
-pub use branch::BranchM;
 pub use engine::{
     evaluate, evaluate_ordered, evaluate_union, run_engine, run_engine_traced, Engine,
     StreamEngine, StreamProgress, StreamTelemetry,
@@ -82,7 +77,6 @@ pub use engine::{
 pub use machine::{Machine, MachineError};
 pub use multi::MultiTwigM;
 pub use observe::{MachineObserver, NoopObserver};
-pub use path::PathM;
 pub use pipeline::{
     run_engine_pipelined, run_multi_sharded, PipelineOptions, PipelineStats, ShardedOutcome,
 };

@@ -156,14 +156,6 @@ pub struct MNode {
     pub is_sol: bool,
 }
 
-impl MNode {
-    /// True when the formula is trivially satisfied regardless of slots —
-    /// the node has no predicate obligations of its own.
-    pub fn trivially_true(&self) -> bool {
-        matches!(self.formula, QFormula::True)
-    }
-}
-
 /// A compiled TwigM machine.
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -449,17 +441,6 @@ impl Machine {
         &self.wildcards
     }
 
-    /// Machine nodes that should receive events for `sym` (tag matches
-    /// or the node is a wildcard). The symbol-dispatch analogue of
-    /// [`Machine::nodes_for_tag`].
-    #[inline]
-    pub fn nodes_for_symbol(&self, sym: Symbol) -> impl Iterator<Item = usize> + '_ {
-        self.tag_nodes(sym)
-            .iter()
-            .copied()
-            .chain(self.wildcards.iter().copied())
-    }
-
     /// Whether a start event with this symbol needs its attributes
     /// collected (some dispatched node tests them). Unknown symbols need
     /// attributes only if a wildcard node does.
@@ -470,13 +451,6 @@ impl Machine {
                 Some(i) if i < self.attr_syms.len() => self.attr_syms[i],
                 _ => false,
             }
-    }
-
-    /// Machine nodes that should receive events for `tag` (name matches
-    /// or the node is a wildcard). String-keyed convenience: one interner
-    /// lookup, then symbol dispatch.
-    pub fn nodes_for_tag<'a>(&'a self, tag: &str) -> impl Iterator<Item = usize> + 'a {
-        self.nodes_for_symbol(self.table.lookup(tag))
     }
 
     /// Machine nodes whose entries accumulate element text.
@@ -754,22 +728,25 @@ mod tests {
         );
     }
 
+    /// The machine nodes a `tag` event reaches: its tagged nodes, then
+    /// the wildcards.
+    fn nodes_for(m: &Machine, tag: &str) -> Vec<usize> {
+        let tagged = m.tag_nodes(m.symbols().lookup(tag));
+        tagged.iter().chain(m.wildcards()).copied().collect()
+    }
+
     #[test]
     fn dispatch_covers_duplicate_tags() {
         let m = machine("//a//a/b");
-        let for_a: Vec<usize> = m.nodes_for_tag("a").collect();
-        assert_eq!(for_a.len(), 2);
-        let for_z: Vec<usize> = m.nodes_for_tag("z").collect();
-        assert!(for_z.is_empty());
+        assert_eq!(nodes_for(&m, "a").len(), 2);
+        assert!(nodes_for(&m, "z").is_empty());
     }
 
     #[test]
     fn wildcard_nodes_receive_every_tag() {
         let m = machine("//a/*");
-        let for_x: Vec<usize> = m.nodes_for_tag("x").collect();
-        assert_eq!(for_x, vec![m.sol]);
-        let for_a: Vec<usize> = m.nodes_for_tag("a").collect();
-        assert_eq!(for_a.len(), 2);
+        assert_eq!(nodes_for(&m, "x"), vec![m.sol]);
+        assert_eq!(nodes_for(&m, "a").len(), 2);
     }
 
     #[test]

@@ -585,17 +585,6 @@ impl Default for MultiTwigM {
 /// dedup afterwards. Use [`MultiTwigM::take_tagged_results`] directly
 /// when the tags matter.
 impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        MultiTwigM::start_element_sym(self, self.table.lookup(tag), attrs, level, id);
-        false
-    }
-
     fn start_element_sym(
         &mut self,
         sym: Symbol,
@@ -618,10 +607,6 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
 
     fn relevance(&self) -> crate::relevance::Relevance {
         MultiTwigM::relevance(self)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        MultiTwigM::end_element_sym(self, self.table.lookup(tag), level);
     }
 
     fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {

@@ -592,8 +592,9 @@ mod tests {
     struct PanicsOn(&'static str, EngineStats);
 
     impl StreamEngine for PanicsOn {
-        fn start_element(
+        fn start_element_sym(
             &mut self,
+            _: Symbol,
             tag: &str,
             _: &[twigm_sax::Attribute<'_>],
             _: u32,
@@ -604,7 +605,7 @@ mod tests {
             }
             false
         }
-        fn end_element(&mut self, _: &str, _: u32) {}
+        fn end_element_sym(&mut self, _: Symbol, _: &str, _: u32) {}
         fn take_results(&mut self) -> Vec<NodeId> {
             Vec::new()
         }

@@ -79,6 +79,11 @@ pub struct TwigM<O: MachineObserver = NoopObserver> {
     /// Live entry / candidate counts for peak tracking.
     live_entries: u64,
     live_candidates: u64,
+    /// The return node and each of its ancestors hold with nothing but
+    /// their spine child (a predicate-free path). Then a qualifying push
+    /// of the return node is already a decided result — PathM's rule
+    /// (paper §3.1) — and skips the eager climb and the duplicate set.
+    sol_decided_at_push: bool,
     observer: O,
 }
 
@@ -107,6 +112,11 @@ impl<O: MachineObserver> TwigM<O> {
     pub fn from_machine_with(machine: Machine, observer: O) -> Self {
         let stacks = vec![Vec::new(); machine.len()];
         let pos_counts = vec![Vec::new(); machine.len()];
+        let sol_decided_at_push =
+            std::iter::successors(Some(machine.sol), |&v| machine.nodes[v].parent).all(|v| {
+                let node = &machine.nodes[v];
+                node.eager_safe && node.formula.eval(node.spine_mask)
+            });
         TwigM {
             machine,
             stacks,
@@ -117,6 +127,7 @@ impl<O: MachineObserver> TwigM<O> {
             stats: EngineStats::default(),
             live_entries: 0,
             live_candidates: 0,
+            sol_decided_at_push,
             observer,
         }
     }
@@ -222,11 +233,7 @@ impl<O: MachineObserver> TwigM<O> {
                 // The machine root: the candidates are decided.
                 for &id in &cands {
                     if self.emitted.insert(id) {
-                        self.results.push(NodeId::new(id));
-                        self.stats.results += 1;
-                        if O::ENABLED {
-                            self.observer.on_result(NodeId::new(id));
-                        }
+                        self.emit(NodeId::new(id));
                     }
                 }
                 return;
@@ -345,7 +352,6 @@ impl<O: MachineObserver> TwigM<O> {
         if O::ENABLED {
             self.observer.on_start_element(sym, level, id);
         }
-        let mut became_candidate = false;
         // This element opens a fresh sibling scope for its children:
         // reset the positional counters keyed by its level.
         for &v in self.machine.pos_nodes() {
@@ -355,13 +361,32 @@ impl<O: MachineObserver> TwigM<O> {
             }
             counts[level as usize] = 0;
         }
-        // Dispatch to machine nodes labelled `sym` or `*`. (Indexing by
-        // position instead of holding the slice keeps `self` free for
-        // the mutations below; `tag_nodes` is a bounds-checked array
-        // access, so re-reading it is cheap.)
         let n_tag = self.machine.tag_nodes(sym).len();
         let n_wild = self.machine.wildcards().len();
-        for i in 0..n_tag + n_wild {
+        // Most tags reach no machine node: nothing to push, no counter
+        // to update.
+        let became_candidate = n_tag + n_wild != 0 && self.push_all(sym, attrs, level, id, n_tag);
+        if O::ENABLED {
+            self.observer.on_event_end(&self.stats);
+        }
+        became_candidate
+    }
+
+    /// The pushes of δs: every machine node labelled `sym` (the first
+    /// `n_tag`) or `*` whose parent stack qualifies pushes an entry.
+    fn push_all(
+        &mut self,
+        sym: Symbol,
+        attrs: &[Attribute<'_>],
+        level: u32,
+        id: NodeId,
+        n_tag: usize,
+    ) -> bool {
+        let mut became_candidate = false;
+        // Indexing by position instead of holding the slice keeps `self`
+        // free for the mutations below; `tag_nodes` is a bounds-checked
+        // array access, so re-reading it is cheap.
+        for i in 0..n_tag + self.machine.wildcards().len() {
             let v = if i < n_tag {
                 self.machine.tag_nodes(sym)[i]
             } else {
@@ -407,9 +432,12 @@ impl<O: MachineObserver> TwigM<O> {
             }
             let mut candidates = Vec::new();
             let mut eager_sol = false;
+            let mut decided = false;
             if node.is_sol {
                 became_candidate = true;
-                if node.eager_safe && node.formula.eval(slots) {
+                if self.sol_decided_at_push {
+                    decided = true;
+                } else if node.eager_safe && node.formula.eval(slots) {
                     // The return node's own predicates already hold:
                     // deliver the candidate immediately instead of
                     // buffering it in the entry.
@@ -430,7 +458,10 @@ impl<O: MachineObserver> TwigM<O> {
             if O::ENABLED {
                 self.observer.on_push(v as u32, level, node.is_sol);
             }
-            if eager_sol {
+            if decided {
+                // A start tag's id is new, so it cannot be a duplicate.
+                self.emit(id);
+            } else if eager_sol {
                 self.eager_deliver(v, level, vec![id.get()]);
             }
             self.stats.pushes += 1;
@@ -438,10 +469,16 @@ impl<O: MachineObserver> TwigM<O> {
         }
         self.stats.peak_entries = self.stats.peak_entries.max(self.live_entries);
         self.stats.peak_candidates = self.stats.peak_candidates.max(self.live_candidates);
-        if O::ENABLED {
-            self.observer.on_event_end(&self.stats);
-        }
         became_candidate
+    }
+
+    /// Reports a decided result.
+    fn emit(&mut self, id: NodeId) {
+        self.results.push(id);
+        self.stats.results += 1;
+        if O::ENABLED {
+            self.observer.on_result(id);
+        }
     }
 
     /// δe (Algorithm 1), dispatching on an interned symbol.
@@ -452,8 +489,28 @@ impl<O: MachineObserver> TwigM<O> {
             self.observer.on_end_element(sym, level);
         }
         let n_tag = self.machine.tag_nodes(sym).len();
-        let n_wild = self.machine.wildcards().len();
-        for i in 0..n_tag + n_wild {
+        if n_tag + self.machine.wildcards().len() != 0 {
+            self.pop_all(sym, level, n_tag);
+        }
+        if O::ENABLED {
+            self.observer.on_event_end(&self.stats);
+        }
+        if level == 1 {
+            // Document root closed: nothing is active any more.
+            debug_assert!(self.stacks.iter().all(Vec::is_empty));
+            self.emitted.clear();
+            self.live_candidates = 0;
+            if O::ENABLED {
+                self.observer.on_document_end();
+            }
+        }
+    }
+
+    /// The pops of δe: every machine node labelled `sym` (the first
+    /// `n_tag`) or `*` whose top entry sits at `level` pops it, and a
+    /// satisfied entry uploads to its parent or, at the root, emits.
+    fn pop_all(&mut self, sym: Symbol, level: u32, n_tag: usize) {
+        for i in 0..n_tag + self.machine.wildcards().len() {
             let v = if i < n_tag {
                 self.machine.tag_nodes(sym)[i]
             } else {
@@ -490,11 +547,7 @@ impl<O: MachineObserver> TwigM<O> {
                     // Machine root: the candidates are decided solutions.
                     for id in entry.candidates {
                         if self.emitted.insert(id) {
-                            self.results.push(NodeId::new(id));
-                            self.stats.results += 1;
-                            if O::ENABLED {
-                                self.observer.on_result(NodeId::new(id));
-                            }
+                            self.emit(NodeId::new(id));
                         }
                     }
                 }
@@ -546,35 +599,11 @@ impl<O: MachineObserver> TwigM<O> {
             }
         }
         self.stats.peak_candidates = self.stats.peak_candidates.max(self.live_candidates);
-        if O::ENABLED {
-            self.observer.on_event_end(&self.stats);
-        }
-        if level == 1 {
-            // Document root closed: nothing is active any more.
-            debug_assert!(self.stacks.iter().all(Vec::is_empty));
-            self.emitted.clear();
-            self.live_candidates = 0;
-            if O::ENABLED {
-                self.observer.on_document_end();
-            }
-        }
     }
 }
 
 impl<O: MachineObserver> StreamEngine for TwigM<O> {
-    /// δs via the string path: one interner lookup, then symbol dispatch.
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        let sym = self.machine.symbols().lookup(tag);
-        self.start_sym(sym, attrs, level, id)
-    }
-
-    /// δs via a pre-looked-up symbol (the driver's hot path).
+    /// δs via the symbol the driver looked up.
     fn start_element_sym(
         &mut self,
         sym: Symbol,
@@ -610,13 +639,7 @@ impl<O: MachineObserver> StreamEngine for TwigM<O> {
         crate::relevance::machine_relevance(&self.machine)
     }
 
-    /// δe via the string path.
-    fn end_element(&mut self, tag: &str, level: u32) {
-        let sym = self.machine.symbols().lookup(tag);
-        self.end_sym(sym, level)
-    }
-
-    /// δe via a pre-looked-up symbol.
+    /// δe via the symbol the driver looked up.
     fn end_element_sym(&mut self, sym: Symbol, _tag: &str, level: u32) {
         self.end_sym(sym, level)
     }
@@ -639,6 +662,27 @@ impl<O: MachineObserver> StreamEngine for TwigM<O> {
 
     fn machine_size(&self) -> Option<usize> {
         Some(self.machine.len())
+    }
+}
+
+/// Tag-name entry points for hand-driven tests: one interner lookup,
+/// then the symbol path the driver uses.
+#[cfg(test)]
+impl<O: MachineObserver> TwigM<O> {
+    pub(crate) fn start(
+        &mut self,
+        tag: &str,
+        attrs: &[Attribute<'_>],
+        level: u32,
+        id: NodeId,
+    ) -> bool {
+        let sym = self.machine.symbols().lookup(tag);
+        self.start_sym(sym, attrs, level, id)
+    }
+
+    pub(crate) fn end(&mut self, tag: &str, level: u32) {
+        let sym = self.machine.symbols().lookup(tag);
+        self.end_sym(sym, level)
     }
 }
 
@@ -782,13 +826,13 @@ mod tests {
         // Text arriving in several events must concatenate before the
         // comparison at the end tag.
         let mut engine = TwigM::new(&parse("//t[text() = 'abc']").unwrap()).unwrap();
-        engine.start_element("r", &[], 1, NodeId::new(0));
-        engine.start_element("t", &[], 2, NodeId::new(1));
+        engine.start("r", &[], 1, NodeId::new(0));
+        engine.start("t", &[], 2, NodeId::new(1));
         engine.text("a");
         engine.text("b");
         engine.text("c");
-        engine.end_element("t", 2);
-        engine.end_element("r", 1);
+        engine.end("t", 2);
+        engine.end("r", 1);
         assert_eq!(engine.take_results().len(), 1);
     }
 
@@ -874,8 +918,8 @@ mod tests {
     #[test]
     fn empty_result_take_is_idempotent() {
         let mut engine = TwigM::new(&parse("//zzz").unwrap()).unwrap();
-        engine.start_element("r", &[], 1, NodeId::new(0));
-        engine.end_element("r", 1);
+        engine.start("r", &[], 1, NodeId::new(0));
+        engine.end("r", 1);
         assert!(engine.take_results().is_empty());
         assert!(engine.take_results().is_empty());
     }
@@ -885,10 +929,10 @@ mod tests {
         let q = parse("//a[b]").unwrap();
         let mut engine = TwigM::new(&q).unwrap();
         for _ in 0..2 {
-            engine.start_element("a", &[], 1, NodeId::new(0));
-            engine.start_element("b", &[], 2, NodeId::new(1));
-            engine.end_element("b", 2);
-            engine.end_element("a", 1);
+            engine.start("a", &[], 1, NodeId::new(0));
+            engine.start("b", &[], 2, NodeId::new(1));
+            engine.end("b", 2);
+            engine.end("a", 1);
             assert_eq!(engine.take_results().len(), 1);
             assert_eq!(engine.total_entries(), 0);
         }
@@ -1113,16 +1157,16 @@ mod eager_delivery_tests {
     #[test]
     fn satisfied_path_emits_at_start_tag() {
         let mut engine = TwigM::new(&parse("//a[d]/b").unwrap()).unwrap();
-        engine.start_element("a", &[], 1, NodeId::new(0));
-        engine.start_element("d", &[], 2, NodeId::new(1));
-        engine.end_element("d", 2);
-        let was_candidate = engine.start_element("b", &[], 2, NodeId::new(2));
+        engine.start("a", &[], 1, NodeId::new(0));
+        engine.start("d", &[], 2, NodeId::new(1));
+        engine.end("d", 2);
+        let was_candidate = engine.start("b", &[], 2, NodeId::new(2));
         assert!(was_candidate);
         assert_eq!(engine.take_results(), vec![NodeId::new(2)]);
         // Zero candidates ever buffered.
         assert_eq!(engine.stats().peak_candidates, 0);
-        engine.end_element("b", 2);
-        engine.end_element("a", 1);
+        engine.end("b", 2);
+        engine.end("a", 1);
         assert!(engine.take_results().is_empty(), "no re-emission at pops");
     }
 
@@ -1139,14 +1183,14 @@ mod eager_delivery_tests {
     #[test]
     fn eager_with_or_formulas() {
         let mut engine = TwigM::new(&parse("//a[d or e]/b").unwrap()).unwrap();
-        engine.start_element("a", &[], 1, NodeId::new(0));
-        engine.start_element("e", &[], 2, NodeId::new(1));
-        engine.end_element("e", 2);
-        engine.start_element("b", &[], 2, NodeId::new(2));
+        engine.start("a", &[], 1, NodeId::new(0));
+        engine.start("e", &[], 2, NodeId::new(1));
+        engine.end("e", 2);
+        engine.start("b", &[], 2, NodeId::new(2));
         // Or-formula already satisfied by e: emitted at start.
         assert_eq!(engine.take_results(), vec![NodeId::new(2)]);
-        engine.end_element("b", 2);
-        engine.end_element("a", 1);
+        engine.end("b", 2);
+        engine.end("a", 1);
     }
 
     #[test]
@@ -1156,12 +1200,12 @@ mod eager_delivery_tests {
         let xml = "<r><a><d/><b/></a><a><d/><b/><c/></a></r>";
         assert_eq!(run("//a[d][not(c)]/b", xml), vec![3]);
         let mut engine = TwigM::new(&parse("//a[not(c)]/b").unwrap()).unwrap();
-        engine.start_element("a", &[], 1, NodeId::new(0));
-        engine.start_element("b", &[], 2, NodeId::new(1));
-        engine.end_element("b", 2);
+        engine.start("a", &[], 1, NodeId::new(0));
+        engine.start("b", &[], 2, NodeId::new(1));
+        engine.end("b", 2);
         // Not yet decidable: c could still arrive.
         assert!(engine.take_results().is_empty());
-        engine.end_element("a", 1);
+        engine.end("a", 1);
         assert_eq!(engine.take_results(), vec![NodeId::new(1)]);
     }
 
@@ -1177,11 +1221,11 @@ mod eager_delivery_tests {
             name: "m",
             value: std::borrow::Cow::Borrowed("2"),
         }];
-        engine.start_element("a", &attr_k, 1, NodeId::new(0));
-        engine.start_element("b", &attr_m, 2, NodeId::new(1));
+        engine.start("a", &attr_k, 1, NodeId::new(0));
+        engine.start("b", &attr_m, 2, NodeId::new(1));
         assert_eq!(engine.take_results(), vec![NodeId::new(1)]);
-        engine.end_element("b", 2);
-        engine.end_element("a", 1);
+        engine.end("b", 2);
+        engine.end("a", 1);
     }
 
     #[test]
@@ -1189,17 +1233,17 @@ mod eager_delivery_tests {
         // b's buffer in a until d arrives; the flush happens at </d>, not
         // at </a>.
         let mut engine = TwigM::new(&parse("//a[d]/b").unwrap()).unwrap();
-        engine.start_element("a", &[], 1, NodeId::new(0));
+        engine.start("a", &[], 1, NodeId::new(0));
         for i in 0..5u64 {
-            engine.start_element("b", &[], 2, NodeId::new(1 + i));
-            engine.end_element("b", 2);
+            engine.start("b", &[], 2, NodeId::new(1 + i));
+            engine.end("b", 2);
         }
         assert!(engine.take_results().is_empty());
         assert_eq!(engine.stats().peak_candidates, 5);
-        engine.start_element("d", &[], 2, NodeId::new(6));
-        engine.end_element("d", 2);
+        engine.start("d", &[], 2, NodeId::new(6));
+        engine.end("d", 2);
         assert_eq!(engine.take_results().len(), 5);
-        engine.end_element("a", 1);
+        engine.end("a", 1);
         assert!(engine.take_results().is_empty());
     }
 }

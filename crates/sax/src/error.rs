@@ -144,6 +144,57 @@ impl fmt::Display for SaxError {
     }
 }
 
+/// `io::Error` is not `Clone`: its copy keeps the kind and the message.
+impl Clone for SaxError {
+    fn clone(&self) -> Self {
+        match self {
+            SaxError::Io(e) => SaxError::Io(std::io::Error::new(e.kind(), e.to_string())),
+            SaxError::InvalidUtf8 { offset } => SaxError::InvalidUtf8 { offset: *offset },
+            SaxError::Syntax { offset, message } => SaxError::Syntax {
+                offset: *offset,
+                message: message.clone(),
+            },
+            SaxError::MismatchedTag {
+                offset,
+                expected,
+                found,
+            } => SaxError::MismatchedTag {
+                offset: *offset,
+                expected: expected.clone(),
+                found: found.clone(),
+            },
+            SaxError::UnexpectedEndTag { offset, found } => SaxError::UnexpectedEndTag {
+                offset: *offset,
+                found: found.clone(),
+            },
+            SaxError::UnexpectedEof { open_element } => SaxError::UnexpectedEof {
+                open_element: open_element.clone(),
+            },
+            SaxError::TextOutsideRoot { offset } => SaxError::TextOutsideRoot { offset: *offset },
+            SaxError::MultipleRoots { offset, name } => SaxError::MultipleRoots {
+                offset: *offset,
+                name: name.clone(),
+            },
+            SaxError::DuplicateAttribute { offset, name } => SaxError::DuplicateAttribute {
+                offset: *offset,
+                name: name.clone(),
+            },
+            SaxError::UnknownEntity { offset, name } => SaxError::UnknownEntity {
+                offset: *offset,
+                name: name.clone(),
+            },
+            SaxError::MarkupTooLong { offset, limit } => SaxError::MarkupTooLong {
+                offset: *offset,
+                limit: *limit,
+            },
+            SaxError::Panicked { thread, message } => SaxError::Panicked {
+                thread,
+                message: message.clone(),
+            },
+        }
+    }
+}
+
 impl std::error::Error for SaxError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

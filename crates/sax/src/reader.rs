@@ -2,6 +2,7 @@
 
 use std::borrow::Cow;
 use std::io::Read;
+use std::panic::AssertUnwindSafe;
 
 use crate::entity::{decode_entities_into, EntityMap};
 use crate::error::{SaxError, SaxResult};
@@ -18,17 +19,10 @@ const TEXT_EMIT: usize = 256 * 1024;
 /// CDATA section...). Prevents unbounded buffering on malformed input.
 const DEFAULT_MAX_MARKUP: usize = 16 * 1024 * 1024;
 
-/// A streaming, pull-based XML parser.
-///
-/// `SaxReader` reads from any [`Read`] with a bounded internal buffer and
-/// produces borrowed [`Event`]s annotated with the TwigM paper's `level`
-/// (root element = 1) and pre-order `id`. Memory use is bounded by the size
-/// of the largest single piece of markup plus the element nesting depth.
-///
-/// Empty-element tags `<a/>` are reported as a start event immediately
-/// followed by a synthetic end event, so downstream machines only deal with
-/// balanced start/end pairs.
-pub struct SaxReader<R> {
+/// The reader's parsing state. [`SaxReader`] holds the fuse beside it, not
+/// in it, so that `next_event` can record an error while the event it
+/// returns still borrows the scanner.
+struct Scanner<R> {
     src: R,
     /// Buffered input; `buf[pos..]` is unconsumed.
     buf: Vec<u8>,
@@ -98,6 +92,29 @@ enum Scanned {
     Eof,
 }
 
+/// A streaming, pull-based XML parser.
+///
+/// `SaxReader` reads from any [`Read`] with a bounded internal buffer and
+/// produces borrowed [`Event`]s annotated with the TwigM paper's `level`
+/// (root element = 1) and pre-order `id`. Memory use is bounded by the size
+/// of the largest single piece of markup plus the element nesting depth.
+///
+/// Empty-element tags `<a/>` are reported as a start event immediately
+/// followed by a synthetic end event, so downstream machines only deal with
+/// balanced start/end pairs.
+///
+/// The reader is fused after its first error: every later
+/// [`SaxReader::next_event`] call returns that same error, never another
+/// event or a clean end. The one exception is a source that reports
+/// [`std::io::ErrorKind::WouldBlock`] (how [`FeedReader`] asks for more
+/// input): the same parse resumes on the next call.
+pub struct SaxReader<R> {
+    scanner: Scanner<R>,
+    /// The first error returned. It is only ever cloned, so holding it
+    /// keeps the reader unwind safe.
+    failed: Option<AssertUnwindSafe<SaxError>>,
+}
+
 impl<'b> SaxReader<&'b [u8]> {
     /// Creates a reader over an in-memory document.
     pub fn from_bytes(bytes: &'b [u8]) -> Self {
@@ -117,6 +134,53 @@ impl<R: Read> SaxReader<R> {
     /// Creates a reader over any byte source.
     pub fn new(src: R) -> Self {
         SaxReader {
+            scanner: Scanner::new(src),
+            failed: None,
+        }
+    }
+
+    /// Overrides the maximum size of a single piece of markup.
+    pub fn with_max_markup(mut self, limit: usize) -> Self {
+        self.scanner.max_markup = limit;
+        self
+    }
+
+    /// Absolute byte offset of the next unconsumed input byte.
+    pub fn offset(&self) -> u64 {
+        self.scanner.offset()
+    }
+
+    /// Current element nesting depth (number of open elements).
+    pub fn depth(&self) -> u32 {
+        self.scanner.depth()
+    }
+
+    /// Number of events emitted so far. Together with
+    /// [`SaxReader::offset`] this gives drivers byte/event accounting
+    /// (events/s, bytes/s) without counting on their own.
+    pub fn events_emitted(&self) -> u64 {
+        self.scanner.events
+    }
+
+    /// Returns the next event, or `None` at a well-formed end of document.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next_event(&mut self) -> SaxResult<Option<Event<'_>>> {
+        if let Some(e) = &self.failed {
+            return Err(e.0.clone());
+        }
+        let result = self.scanner.next_event();
+        if let Err(e) = &result {
+            if !matches!(e, SaxError::Io(io) if io.kind() == std::io::ErrorKind::WouldBlock) {
+                self.failed = Some(AssertUnwindSafe(e.clone()));
+            }
+        }
+        result
+    }
+}
+
+impl<R: Read> Scanner<R> {
+    fn new(src: R) -> Self {
+        Scanner {
             src,
             buf: Vec::with_capacity(CHUNK),
             pos: 0,
@@ -135,19 +199,11 @@ impl<R: Read> SaxReader<R> {
         }
     }
 
-    /// Overrides the maximum size of a single piece of markup.
-    pub fn with_max_markup(mut self, limit: usize) -> Self {
-        self.max_markup = limit;
-        self
-    }
-
-    /// Absolute byte offset of the next unconsumed input byte.
-    pub fn offset(&self) -> u64 {
+    fn offset(&self) -> u64 {
         self.base + self.pos as u64
     }
 
-    /// Current element nesting depth (number of open elements).
-    pub fn depth(&self) -> u32 {
+    fn depth(&self) -> u32 {
         self.open_offsets.len() as u32
     }
 
@@ -177,16 +233,8 @@ impl<R: Read> SaxReader<R> {
             .map(|bytes| std::str::from_utf8(bytes).expect("open names are validated UTF-8"))
     }
 
-    /// Number of events emitted so far. Together with
-    /// [`SaxReader::offset`] this gives drivers byte/event accounting
-    /// (events/s, bytes/s) without counting on their own.
-    pub fn events_emitted(&self) -> u64 {
-        self.events
-    }
-
-    /// Returns the next event, or `None` at a well-formed end of document.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next_event(&mut self) -> SaxResult<Option<Event<'_>>> {
+    /// Parses the next event; [`SaxReader::next_event`] adds the fuse.
+    fn next_event(&mut self) -> SaxResult<Option<Event<'_>>> {
         if self.pending_pop {
             self.pop_open();
             self.pending_pop = false;
@@ -826,7 +874,7 @@ impl FeedReader {
 
     /// Overrides the maximum size of a single piece of markup.
     pub fn with_max_markup(mut self, limit: usize) -> Self {
-        self.inner.max_markup = limit;
+        self.inner.scanner.max_markup = limit;
         self
     }
 
@@ -837,21 +885,21 @@ impl FeedReader {
     /// Panics if called after [`FeedReader::finish`].
     pub fn feed(&mut self, bytes: &[u8]) {
         assert!(
-            !self.inner.src.finished,
+            !self.inner.scanner.src.finished,
             "FeedReader::feed called after finish()"
         );
-        self.inner.src.data.extend(bytes);
+        self.inner.scanner.src.data.extend(bytes);
     }
 
     /// Declares the end of input: pending [`FeedEvent::NeedData`] states
     /// become either events, [`FeedEvent::Done`], or truncation errors.
     pub fn finish(&mut self) {
-        self.inner.src.finished = true;
+        self.inner.scanner.src.finished = true;
     }
 
     /// Has [`FeedReader::finish`] been called?
     pub fn is_finished(&self) -> bool {
-        self.inner.src.finished
+        self.inner.scanner.src.finished
     }
 
     /// Absolute byte offset of the next unconsumed input byte.
@@ -866,8 +914,9 @@ impl FeedReader {
 
     /// Parses the next event out of the buffered input.
     ///
-    /// Errors are terminal and identical to the ones [`SaxReader`] would
-    /// report on the concatenated input.
+    /// Errors are terminal (every later call repeats the first one) and
+    /// identical to the ones [`SaxReader`] would report on the
+    /// concatenated input.
     pub fn next_event(&mut self) -> SaxResult<FeedEvent<'_>> {
         match self.inner.next_event() {
             Ok(Some(event)) => Ok(FeedEvent::Event(event)),

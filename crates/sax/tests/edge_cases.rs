@@ -246,3 +246,74 @@ fn compaction_preserves_offset_accounting_across_refills() {
         assert_eq!(reader.offset(), xml.len() as u64, "tiny: {tiny}");
     }
 }
+
+/// Short labels for a reader's outcomes: `Sr` / `Er` for start / end of
+/// `r`, `T` for text, `ERR` for an error, `EOF` for a clean end.
+fn label(outcome: Result<Option<Event<'_>>, SaxError>) -> String {
+    match outcome {
+        Ok(Some(Event::Start(t))) => format!("S{}", t.name()),
+        Ok(Some(Event::End(t))) => format!("E{}", t.name()),
+        Ok(Some(_)) => "T".into(),
+        Ok(None) => "EOF".into(),
+        Err(_) => "ERR".into(),
+    }
+}
+
+/// The reader is fused after its first error: it never resumes with more
+/// events or reports a clean end, and it repeats the first error.
+#[test]
+fn reader_is_fused_after_the_first_error() {
+    for (doc, before) in [
+        ("<r><a>&bogus;</a><b/></r>", "Sr Sa"),
+        ("<r><a></c><b/></r>", "Sr Sa"),
+        ("<r>&#0;<b/></r>", "Sr"),
+        ("<r><a x='1' x='2'/></r>", "Sr"),
+    ] {
+        let mut reader = SaxReader::from_bytes(doc.as_bytes());
+        let mut seen = Vec::new();
+        let first = loop {
+            match reader.next_event() {
+                Err(e) => break e,
+                outcome => seen.push(label(outcome)),
+            }
+        };
+        assert_eq!(seen.join(" "), before, "{doc}");
+        for _ in 0..4 {
+            match reader.next_event() {
+                Err(e) => assert_eq!(e.to_string(), first.to_string(), "{doc}"),
+                outcome => panic!("{doc}: resumed with {} after `{first}`", label(outcome)),
+            }
+        }
+
+        // Fed one byte at a time, `NeedData` stays resumable but the
+        // first error is just as final.
+        let mut feed = FeedReader::new();
+        let mut seen = Vec::new();
+        let mut error = None;
+        for (i, byte) in doc.as_bytes().iter().enumerate() {
+            feed.feed(std::slice::from_ref(byte));
+            if i + 1 == doc.len() {
+                feed.finish();
+            }
+            loop {
+                match feed.next_event() {
+                    Ok(FeedEvent::Event(e)) => {
+                        assert!(error.is_none(), "{doc}: event after an error");
+                        seen.push(label(Ok(Some(e))));
+                    }
+                    Ok(FeedEvent::NeedData) => {
+                        assert!(error.is_none(), "{doc}: NeedData after an error");
+                        break;
+                    }
+                    Ok(FeedEvent::Done) => panic!("{doc}: Done after an error"),
+                    Err(e) => {
+                        error.get_or_insert(e.to_string());
+                        break;
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.join(" "), before, "{doc} (fed)");
+        assert_eq!(error.as_deref(), Some(first.to_string().as_str()), "{doc}");
+    }
+}

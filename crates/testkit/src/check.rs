@@ -4,7 +4,7 @@
 use std::fmt;
 
 use twigm::engine::{run_engine, StreamEngine};
-use twigm::{BranchM, Engine, MultiTwigM, PathM, TwigM};
+use twigm::{MultiTwigM, TwigM};
 use twigm_baselines::inmem::{Document, InMemEval};
 use twigm_baselines::{LazyDfa, NaiveEnum};
 use twigm_sax::NodeId;
@@ -151,25 +151,14 @@ pub fn check_case(doc: &Document, xml: &[u8], query: &Path) -> Vec<Violation> {
             return out;
         }
     }
-    if let Ok(e) = Engine::new(query) {
-        check_engine(e, "Engine", xml, query, &expected, depth, &mut out);
-    }
     if let Ok(e) = NaiveEnum::new(query) {
         // NaiveEnum keeps one entry per (element, parent-match) pair, so
         // it claims no bound (machine_size is None) — divergence only.
         check_engine(e, "NaiveEnum", xml, query, &expected, depth, &mut out);
     }
     if query.is_predicate_free() {
-        if let Ok(e) = PathM::new(query) {
-            check_engine(e, "PathM", xml, query, &expected, depth, &mut out);
-        }
         if let Ok(e) = LazyDfa::new(query) {
             check_engine(e, "LazyDfa", xml, query, &expected, depth, &mut out);
-        }
-    }
-    if query.is_branch_only() {
-        if let Ok(e) = BranchM::new(query) {
-            check_engine(e, "BranchM", xml, query, &expected, depth, &mut out);
         }
     }
 
@@ -238,8 +227,9 @@ mod tests {
         // A deliberately broken "engine": claims everything matches.
         struct LiarStats(twigm::stats::EngineStats, Vec<NodeId>);
         impl StreamEngine for LiarStats {
-            fn start_element(
+            fn start_element_sym(
                 &mut self,
+                _sym: twigm_sax::Symbol,
                 _tag: &str,
                 _attrs: &[twigm_sax::Attribute<'_>],
                 _level: u32,
@@ -248,7 +238,7 @@ mod tests {
                 self.1.push(id);
                 true
             }
-            fn end_element(&mut self, _tag: &str, _level: u32) {}
+            fn end_element_sym(&mut self, _sym: twigm_sax::Symbol, _tag: &str, _level: u32) {}
             fn take_results(&mut self) -> Vec<NodeId> {
                 std::mem::take(&mut self.1)
             }

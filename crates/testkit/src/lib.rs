@@ -11,8 +11,8 @@
 //! them four ways:
 //!
 //! 1. **Differential** ([`check`]): every engine whose language covers
-//!    the query (TwigM, auto-selected `Engine`, NaiveEnum, MultiTwigM,
-//!    and PathM / LazyDfa / BranchM when eligible) must reproduce the
+//!    the query (TwigM, NaiveEnum, MultiTwigM, and LazyDfa on
+//!    predicate-free queries) must reproduce the
 //!    in-memory DOM oracle's id set, and every engine claiming the
 //!    Theorem 4.4 bound must respect `peak_entries <= |Q| * R` with zero
 //!    materialized tuples.

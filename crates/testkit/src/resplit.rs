@@ -64,6 +64,7 @@ pub fn run_engine_chunked<E: StreamEngine>(
     cuts: &[usize],
 ) -> Result<(Vec<twigm_sax::NodeId>, E), SaxError> {
     let table = engine.symbols().cloned();
+    let lookup = |name: &str| table.as_ref().map_or(Symbol::UNKNOWN, |t| t.lookup(name));
     let mut parser = FeedReader::new();
     let mut start = 0usize;
     let mut chunks: Vec<&[u8]> = Vec::with_capacity(cuts.len() + 1);
@@ -83,34 +84,18 @@ pub fn run_engine_chunked<E: StreamEngine>(
                 FeedEvent::NeedData | FeedEvent::Done => break,
                 FeedEvent::Event(event) => match event {
                     twigm_sax::Event::Start(tag) => {
-                        let sym = match &table {
-                            Some(t) => t.lookup(tag.name()),
-                            None => Symbol::UNKNOWN,
-                        };
+                        let sym = lookup(tag.name());
                         let mut attrs: Vec<Attribute<'_>> = Vec::new();
-                        if table.is_none() || engine.needs_attributes(sym) {
+                        if engine.needs_attributes(sym) {
                             for a in tag.attributes() {
                                 attrs.push(a?);
                             }
                         }
-                        if table.is_some() {
-                            engine.start_element_sym(
-                                sym,
-                                tag.name(),
-                                &attrs,
-                                tag.level(),
-                                tag.id(),
-                            );
-                        } else {
-                            engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
-                        }
+                        engine.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
                     }
-                    twigm_sax::Event::End(tag) => match &table {
-                        Some(t) => {
-                            engine.end_element_sym(t.lookup(tag.name()), tag.name(), tag.level())
-                        }
-                        None => engine.end_element(tag.name(), tag.level()),
-                    },
+                    twigm_sax::Event::End(tag) => {
+                        engine.end_element_sym(lookup(tag.name()), tag.name(), tag.level())
+                    }
                     twigm_sax::Event::Text(t) => engine.text(&t),
                     _ => {}
                 },

@@ -352,49 +352,12 @@ impl Path {
     }
 
     /// True if no step anywhere (including nested predicates) has a
-    /// predicate — i.e. the query is in `XP{/,//,*}` and PathM suffices.
+    /// predicate — i.e. the query is in `XP{/,//,*}`, the class a DFA
+    /// can evaluate.
     /// A trailing attribute selector counts as a predicate (it must be
     /// checked per element).
     pub fn is_predicate_free(&self) -> bool {
         self.attr.is_none() && self.steps.iter().all(|s| s.predicates.is_empty())
-    }
-
-    /// True if no step uses `//` or `*`, i.e. the query is in `XP{/,[]}`
-    /// and BranchM suffices.
-    pub fn is_branch_only(&self) -> bool {
-        fn step_ok(s: &Step) -> bool {
-            s.axis == Axis::Child
-                && s.test != NameTest::Wildcard
-                && s.predicates.iter().all(expr_ok)
-        }
-        fn value_ok(v: &Value) -> bool {
-            v.steps.iter().all(step_ok)
-        }
-        fn expr_ok(e: &PredExpr) -> bool {
-            match e {
-                PredExpr::Exists(v) => value_ok(v),
-                PredExpr::Compare(v, _, _) => value_ok(v),
-                PredExpr::StrFn(_, v, _) => value_ok(v),
-                // Positional predicates use sibling counters implemented
-                // only by the general machines; count() needs per-entry
-                // counters.
-                PredExpr::Position(_) => false,
-                PredExpr::CountCmp(..) => false,
-                PredExpr::Not(inner) => expr_ok(inner),
-                PredExpr::And(a, b) | PredExpr::Or(a, b) => expr_ok(a) && expr_ok(b),
-            }
-        }
-        self.steps.iter().all(step_ok)
-    }
-
-    /// Which sub-language of `XP{/,//,*,[]}` the query belongs to.
-    pub fn classify(&self) -> XPathClass {
-        match (self.is_predicate_free(), self.is_branch_only()) {
-            (true, true) => XPathClass::PathOnly, // plain /a/b/c
-            (true, false) => XPathClass::PathOnly,
-            (false, true) => XPathClass::BranchOnly,
-            (false, false) => XPathClass::Full,
-        }
     }
 
     /// Total number of query-tree nodes (steps plus predicate steps),
@@ -433,17 +396,6 @@ impl fmt::Display for Path {
         }
         Ok(())
     }
-}
-
-/// The sub-language a query belongs to (paper §2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum XPathClass {
-    /// `XP{/,//,*}`: no predicates. Evaluable by PathM or a DFA.
-    PathOnly,
-    /// `XP{/,[]}`: predicates but no `//`/`*`. Evaluable by BranchM.
-    BranchOnly,
-    /// `XP{/,//,*,[]}`: the full fragment. Requires TwigM.
-    Full,
 }
 
 #[cfg(test)]
@@ -520,26 +472,23 @@ mod tests {
             steps: vec![step(Axis::Descendant, "a")],
             attr: None,
         };
-        assert_eq!(path_only.classify(), XPathClass::PathOnly);
         assert!(path_only.is_predicate_free());
 
         let mut with_pred = step(Axis::Child, "a");
         with_pred
             .predicates
             .push(PredExpr::Exists(Value::path(vec![step(Axis::Child, "b")])));
-        let branch_only = Path {
-            steps: vec![with_pred.clone()],
+        let with_pred = Path {
+            steps: vec![with_pred],
             attr: None,
         };
-        assert_eq!(branch_only.classify(), XPathClass::BranchOnly);
+        assert!(!with_pred.is_predicate_free());
 
-        let mut full_step = with_pred;
-        full_step.axis = Axis::Descendant;
-        let full = Path {
-            steps: vec![full_step],
-            attr: None,
+        let with_attr = Path {
+            steps: vec![step(Axis::Child, "a")],
+            attr: Some("id".into()),
         };
-        assert_eq!(full.classify(), XPathClass::Full);
+        assert!(!with_attr.is_predicate_free());
     }
 
     #[test]

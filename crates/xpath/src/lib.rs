@@ -52,7 +52,7 @@ mod lexer;
 mod parser;
 pub mod simplify;
 
-pub use ast::{Axis, CmpOp, Literal, NameTest, Path, PredExpr, Step, StrFunc, Value, XPathClass};
+pub use ast::{Axis, CmpOp, Literal, NameTest, Path, PredExpr, Step, StrFunc, Value};
 pub use error::{ParseError, ParseResult};
 pub use parser::{parse, parse_union};
 pub use simplify::simplify;

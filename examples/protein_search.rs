@@ -11,7 +11,7 @@ use std::io::BufReader;
 
 use twigm::engine::run_engine;
 use twigm::fragments::FragmentCollector;
-use twigm::{Engine, StreamEngine, TwigM};
+use twigm::{StreamEngine, TwigM};
 use twigm_xpath::parse;
 
 fn main() {
@@ -47,7 +47,6 @@ fn main() {
     ];
     for (label, text) in queries {
         let query = parse(text).expect("valid query");
-        let machine = Engine::new(&query).unwrap().machine_name();
         let mut engine = TwigM::new(&query).unwrap();
         let file = BufReader::new(std::fs::File::open(&dir).expect("open"));
         let start = std::time::Instant::now();
@@ -55,9 +54,10 @@ fn main() {
         let elapsed = start.elapsed();
         let stats = engine.stats();
         println!(
-            "{label:<40} {text}\n    -> {} matches in {elapsed:.2?} via {machine}; \
+            "{label:<40} {text}\n    -> {} matches in {elapsed:.2?} on a {}-node machine; \
              peak {} stack entries for {} events",
             ids.len(),
+            engine.machine().len(),
             stats.peak_entries,
             stats.events()
         );

@@ -26,7 +26,10 @@ fn main() {
 
     let query = parse("//a[d]//b[e]//c").expect("valid XPath");
     println!("query:   //a[d]//b[e]//c");
-    println!("machine: {}", Engine::new(&query).unwrap().machine_name());
+    println!(
+        "machine: {} nodes",
+        Engine::new(&query).unwrap().machine().len()
+    );
 
     // 1. Node ids (the paper's formal output).
     let ids = twigm::evaluate(&query, &xml[..]).expect("well-formed XML");

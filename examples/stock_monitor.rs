@@ -69,6 +69,9 @@ fn main() {
     // The standing query: ACME trades above 100.
     let query = parse("//quote[symbol = 'ACME'][price > 100]/price").unwrap();
     let mut engine = TwigM::new(&query).unwrap();
+    // Tags are dispatched by symbol: look each name up in the machine's
+    // interner once per event.
+    let symbols = engine.machine().symbols().clone();
 
     let mut reader = SaxReader::new(ChannelReader {
         rx,
@@ -84,9 +87,12 @@ fn main() {
         match event {
             Event::Start(tag) => {
                 let attrs: Vec<Attribute<'_>> = tag.attributes().collect::<Result<_, _>>().unwrap();
-                engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
+                let sym = symbols.lookup(tag.name());
+                engine.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
             }
-            Event::End(tag) => engine.end_element(tag.name(), tag.level()),
+            Event::End(tag) => {
+                engine.end_element_sym(symbols.lookup(tag.name()), tag.name(), tag.level())
+            }
             Event::Text(t) => engine.text(&t),
             _ => {}
         }

@@ -5,7 +5,7 @@
 //!
 //! * [`sax`] — streaming XML parser/writer ([`twigm_sax`]);
 //! * [`xpath`] — the `XP{/,//,*,[]}` query language ([`twigm_xpath`]);
-//! * [`engine`] — the TwigM/PathM/BranchM machines ([`twigm`]);
+//! * [`engine`] — the TwigM machine and its driver ([`twigm`]);
 //! * [`baselines`] — comparison systems ([`twigm_baselines`]);
 //! * [`datagen`] — dataset generators ([`twigm_datagen`]).
 //!

@@ -3,7 +3,7 @@
 //! oracle computes, for every benchmark query.
 
 use twigm::engine::run_engine;
-use twigm::{Engine, PathM, TwigM};
+use twigm::TwigM;
 use twigm_baselines::inmem::{Document, InMemEval};
 use twigm_baselines::{LazyDfa, NaiveEnum};
 use twigm_datagen::Dataset;
@@ -27,13 +27,6 @@ fn check_dataset(dataset: Dataset, queries: &[&str]) {
         let twig = sorted(run_engine(TwigM::new(&query).unwrap(), &xml[..]).unwrap().0);
         assert_eq!(twig, expected, "TwigM vs oracle on {text} ({dataset:?})");
 
-        let auto = sorted(
-            run_engine(Engine::new(&query).unwrap(), &xml[..])
-                .unwrap()
-                .0,
-        );
-        assert_eq!(auto, expected, "Engine vs oracle on {text} ({dataset:?})");
-
         let naive = sorted(
             run_engine(NaiveEnum::new(&query).unwrap(), &xml[..])
                 .unwrap()
@@ -45,8 +38,6 @@ fn check_dataset(dataset: Dataset, queries: &[&str]) {
         );
 
         if query.is_predicate_free() {
-            let path = sorted(run_engine(PathM::new(&query).unwrap(), &xml[..]).unwrap().0);
-            assert_eq!(path, expected, "PathM vs oracle on {text} ({dataset:?})");
             let dfa = sorted(
                 run_engine(LazyDfa::new(&query).unwrap(), &xml[..])
                     .unwrap()
@@ -179,107 +170,31 @@ fn union_evaluation_matches_per_branch_oracle() {
 // ---------------------------------------------------------------------
 // Seeded differential sweep: documents derived from one SplitMix64
 // stream × the benchmark query corpus, every applicable engine, through
-// BOTH the string and the symbol entry points.
+// BOTH drivers (the serial loop and the prefiltered pipeline).
 // ---------------------------------------------------------------------
 
-use twigm::engine::StreamEngine;
-use twigm::stats::EngineStats;
-use twigm::BranchM;
+use twigm::pipeline::{run_engine_pipelined, PipelineOptions};
 use twigm_datagen::SplitMix64;
-use twigm_sax::Attribute;
-
-/// Forwards only the string entry points and hides the inner engine's
-/// symbol table, so `run_engine` exercises the string-fallback driver
-/// path (the pre-interning behavior).
-struct StringOnly<E>(E);
-
-impl<E: StreamEngine> StreamEngine for StringOnly<E> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.0.start_element(tag, attrs, level, id)
-    }
-
-    fn text(&mut self, text: &str) {
-        self.0.text(text)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.0.end_element(tag, level)
-    }
-
-    fn take_results(&mut self) -> Vec<NodeId> {
-        self.0.take_results()
-    }
-
-    fn stats(&self) -> &EngineStats {
-        self.0.stats()
-    }
-}
 
 /// One differential case: every engine whose language covers `text`
-/// must reproduce the oracle's id set through both entry paths.
+/// must reproduce the oracle's id set, and TwigM must do so through both
+/// drivers.
 fn differential_case(oracle: &mut InMemEval<'_>, xml: &[u8], text: &str) {
     let query = parse(text).unwrap();
     let expected = sorted(oracle.evaluate(&query));
 
-    let sym = sorted(run_engine(TwigM::new(&query).unwrap(), xml).unwrap().0);
-    assert_eq!(sym, expected, "TwigM (symbol path) vs oracle on {text}");
-    let string = sorted(
-        run_engine(StringOnly(TwigM::new(&query).unwrap()), xml)
+    let serial = sorted(run_engine(TwigM::new(&query).unwrap(), xml).unwrap().0);
+    assert_eq!(serial, expected, "TwigM (serial loop) vs oracle on {text}");
+    let opts = PipelineOptions::default();
+    let pipelined = sorted(
+        run_engine_pipelined(TwigM::new(&query).unwrap(), xml, &opts)
             .unwrap()
             .0,
     );
-    assert_eq!(string, expected, "TwigM (string path) vs oracle on {text}");
+    assert_eq!(pipelined, expected, "TwigM (pipeline) vs oracle on {text}");
 
     let naive = sorted(run_engine(NaiveEnum::new(&query).unwrap(), xml).unwrap().0);
-    assert_eq!(
-        naive, expected,
-        "NaiveEnum (symbol path) vs oracle on {text}"
-    );
-    let naive_str = sorted(
-        run_engine(StringOnly(NaiveEnum::new(&query).unwrap()), xml)
-            .unwrap()
-            .0,
-    );
-    assert_eq!(
-        naive_str, expected,
-        "NaiveEnum (string path) vs oracle on {text}"
-    );
-
-    if query.is_predicate_free() {
-        let path = sorted(run_engine(PathM::new(&query).unwrap(), xml).unwrap().0);
-        assert_eq!(path, expected, "PathM (symbol path) vs oracle on {text}");
-        let path_str = sorted(
-            run_engine(StringOnly(PathM::new(&query).unwrap()), xml)
-                .unwrap()
-                .0,
-        );
-        assert_eq!(
-            path_str, expected,
-            "PathM (string path) vs oracle on {text}"
-        );
-    }
-    if query.is_branch_only() {
-        let branch = sorted(run_engine(BranchM::new(&query).unwrap(), xml).unwrap().0);
-        assert_eq!(
-            branch, expected,
-            "BranchM (symbol path) vs oracle on {text}"
-        );
-        let branch_str = sorted(
-            run_engine(StringOnly(BranchM::new(&query).unwrap()), xml)
-                .unwrap()
-                .0,
-        );
-        assert_eq!(
-            branch_str, expected,
-            "BranchM (string path) vs oracle on {text}"
-        );
-    }
+    assert_eq!(naive, expected, "NaiveEnum vs oracle on {text}");
 }
 
 /// The hermetic replacement for the proptest differential suite: one

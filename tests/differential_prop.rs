@@ -4,8 +4,7 @@
 //! Every streaming engine must compute exactly the oracle's node set:
 //! * TwigM on every query;
 //! * NaiveEnum (explicit enumeration) on every query;
-//! * PathM and the lazy DFA on predicate-free queries;
-//! * BranchM on `XP{/,[]}` queries.
+//! * the lazy DFA on predicate-free queries.
 //!
 //! The document alphabet is tiny ({a,b,c,d} + 2 attribute names + small
 //! numeric text) so that tags recurse, predicates flip between satisfied
@@ -17,7 +16,7 @@
 
 use proptest::prelude::*;
 use twigm::engine::run_engine;
-use twigm::{BranchM, PathM, StreamEngine, TwigM};
+use twigm::{StreamEngine, TwigM};
 use twigm_baselines::inmem::{Document, InMemEval};
 use twigm_baselines::{LazyDfa, NaiveEnum};
 use twigm_sax::NodeId;
@@ -269,22 +268,10 @@ proptest! {
         );
 
         if query.is_predicate_free() {
-            let path = sorted(run_engine(PathM::new(&query).unwrap(), xml.as_bytes()).unwrap().0);
-            prop_assert_eq!(
-                &path, &expected,
-                "PathM disagrees\nquery: {}\nxml: {}", query, xml
-            );
             let dfa = sorted(run_engine(LazyDfa::new(&query).unwrap(), xml.as_bytes()).unwrap().0);
             prop_assert_eq!(
                 &dfa, &expected,
                 "LazyDfa disagrees\nquery: {}\nxml: {}", query, xml
-            );
-        }
-        if query.is_branch_only() {
-            let branch = sorted(run_engine(BranchM::new(&query).unwrap(), xml.as_bytes()).unwrap().0);
-            prop_assert_eq!(
-                &branch, &expected,
-                "BranchM disagrees\nquery: {}\nxml: {}", query, xml
             );
         }
     }

@@ -9,7 +9,7 @@
 //! that separates TwigM from the enumeration systems of §5.
 
 use twigm::engine::run_engine;
-use twigm::{BranchM, MultiTwigM, PathM, StreamEngine, TwigM};
+use twigm::{MultiTwigM, StreamEngine, TwigM};
 use twigm_baselines::NaiveEnum;
 use twigm_datagen::recursive::random_recursive;
 use twigm_datagen::SplitMix64;
@@ -82,8 +82,8 @@ fn peak_entries_bounded_by_query_size_times_depth() {
 }
 
 /// Theorem 4.4 on *every* bound-claiming engine at extreme recursion
-/// depth (R >= 64): TwigM, PathM, BranchM and the multi-query machine
-/// all stay within `|Q| * R` — and the enumeration baseline demonstrably
+/// depth (R >= 64): TwigM — on a full, a predicate-free and a child-only
+/// query — and the multi-query machine all stay within `|Q| * R` — and the enumeration baseline demonstrably
 /// does not, which is the paper's whole point (§5): the bound is a
 /// property of the compact encoding, not of streaming per se.
 #[test]
@@ -125,17 +125,17 @@ fn deep_recursion_bound_holds_on_every_engine() {
         &xml,
         r,
     );
-    let path_text = "//a//b//c"; // predicate-free: PathM-eligible
+    let path_text = "//a//b//c"; // predicate-free: XP{/,//,*}
     assert_bound(
-        PathM::new(&parse(path_text).unwrap()).unwrap(),
-        "PathM",
+        TwigM::new(&parse(path_text).unwrap()).unwrap(),
+        "TwigM (path query)",
         &xml,
         r,
     );
-    let branch_text = "/a/b[c]/a"; // child-only: BranchM-eligible
+    let branch_text = "/a/b[c]/a"; // child-only: XP{/,[]}
     assert_bound(
-        BranchM::new(&parse(branch_text).unwrap()).unwrap(),
-        "BranchM",
+        TwigM::new(&parse(branch_text).unwrap()).unwrap(),
+        "TwigM (branch query)",
         &xml,
         r,
     );
@@ -187,21 +187,6 @@ fn deep_recursion_bound_holds_on_every_engine() {
 #[test]
 fn figure2_snapshot_matches_the_paper() {
     let query = parse("//a//b//c").unwrap();
-
-    // Through the string entry point.
-    let mut engine = TwigM::new(&query).unwrap();
-    for (tag, level, id) in [
-        ("a", 1, 0),
-        ("a", 2, 1),
-        ("b", 3, 2),
-        ("b", 4, 3),
-        ("c", 5, 4),
-    ] {
-        engine.start_element(tag, &[], level, NodeId::new(id));
-    }
-    assert_eq!(engine.stack_levels(), vec![vec![1, 2], vec![3, 4], vec![5]]);
-
-    // And identically through the symbol entry point.
     let mut engine = TwigM::new(&query).unwrap();
     let table = engine
         .symbols()

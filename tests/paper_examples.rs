@@ -2,7 +2,8 @@
 //! asserting both the answers and the complexity claims.
 
 use twigm::engine::run_engine;
-use twigm::{BranchM, Engine, PathM, StreamEngine, TwigM};
+use twigm::{StreamEngine, TwigM};
+use twigm_baselines::inmem::{Document, InMemEval};
 use twigm_datagen::recursive::figure1_string;
 use twigm_sax::NodeId;
 use twigm_xpath::parse;
@@ -60,29 +61,32 @@ fn compact_encoding_bound_holds_across_n() {
     }
 }
 
-/// §3.1 / figure 2: PathM on //a//b//c over nested a*, b*, c emits c1 at
-/// its start tag.
+/// §3.1 / figure 2: the PathM example //a//b//c over nested a*, b*, c.
+/// TwigM, which generalises PathM, emits c1 at its start tag.
 #[test]
 fn figure2_pathm_example() {
     let n = 4;
     let xml = figure1_string(n);
     let query = parse("//a//b//c").unwrap();
-    assert_eq!(ids(PathM::new(&query).unwrap(), &xml), vec![2 * n as u64]);
-    // TwigM agrees (it must generalize PathM).
     assert_eq!(ids(TwigM::new(&query).unwrap(), &xml), vec![2 * n as u64]);
+    // The smaller instance of the figure: c1 is decided on its start tag.
+    let mut engine = TwigM::new(&query).unwrap();
+    let (decided, _) = run_engine(&mut engine, &b"<a><a><b><b><c/></b></b></a></a>"[..]).unwrap();
+    assert_eq!(decided, vec![NodeId::new(4)]);
+    assert_eq!(engine.stats().peak_candidates, 0, "nothing is buffered");
 }
 
-/// §3.2 / figure 3: BranchM on Q3 = /a[d]/b[e]/c over
-/// a1(b1(c1, e1), d1) outputs {c1} at a1's end tag.
+/// §3.2 / figure 3: the BranchM example Q3 = /a[d]/b[e]/c over
+/// a1(b1(c1, e1), d1) outputs {c1}; TwigM, which generalises BranchM,
+/// agrees.
 #[test]
 fn figure3_branchm_example() {
     let xml = "<a><b><c/><e/></b><d/></a>";
     let query = parse("/a[d]/b[e]/c").unwrap();
-    assert_eq!(ids(BranchM::new(&query).unwrap(), xml), vec![2]);
     assert_eq!(ids(TwigM::new(&query).unwrap(), xml), vec![2]);
     // Remove d: no solution.
     let xml = "<a><b><c/><e/></b></a>";
-    assert!(ids(BranchM::new(&query).unwrap(), xml).is_empty());
+    assert!(ids(TwigM::new(&query).unwrap(), xml).is_empty());
 }
 
 /// §3.3 / figure 4: the machine for Q1 has five nodes (a, b, c, d, e)
@@ -112,49 +116,89 @@ fn stack_sizes_bounded_by_depth() {
     assert_eq!(engine.stats().results, 500);
 }
 
-/// The paper's machine-selection story (§3): Engine picks PathM for
-/// XP{/,//,*}, BranchM for XP{/,[]}, TwigM otherwise — and all three
-/// agree wherever their languages overlap.
+/// The DOM oracle's ids for `query` over `xml`, sorted.
+fn oracle(query: &str, xml: &str) -> Vec<u64> {
+    let doc = Document::parse_bytes(xml.as_bytes()).unwrap();
+    let found = InMemEval::new(&doc).evaluate(&parse(query).unwrap());
+    let mut ids: Vec<u64> = found.into_iter().map(NodeId::get).collect();
+    ids.sort_unstable();
+    ids
+}
+
+/// The paper's §3 sub-languages — `XP{/,//,*}` (PathM's) and `XP{/,[]}`
+/// (BranchM's) — run on TwigM, the one machine, and match the DOM
+/// oracle. The expected ids are the ones the two sub-machines produced.
 #[test]
-fn machines_agree_on_their_shared_fragments() {
-    let xml = "<a><b><c/><e/></b><b><c/></b><d/></a>";
-    // XP{/,[]} queries: BranchM vs TwigM.
-    for q in ["/a/b/c", "/a[d]/b/c", "/a/b[e]/c", "/a[d]/b[e]/c", "/a[b]"] {
-        let query = parse(q).unwrap();
-        assert_eq!(
-            ids(BranchM::new(&query).unwrap(), xml),
-            ids(TwigM::new(&query).unwrap(), xml),
-            "{q}"
-        );
+fn path_and_branch_queries_match_the_oracle() {
+    let shared = "<a><b><c/><e/></b><b><c/></b><d/></a>";
+    let cases: &[(&str, &str, &[u64])] = &[
+        // XP{/,//,*}.
+        ("//b/c", shared, &[2, 5]),
+        ("//c", shared, &[2, 5]),
+        ("/a/*/c", shared, &[2, 5]),
+        ("//*", shared, &[0, 1, 2, 3, 4, 5, 6]),
+        ("/a//c", shared, &[2, 5]),
+        ("//a//b", shared, &[1, 4]),
+        ("//a//b//c", "<a><a><b><b><c/></b></b></a></a>", &[4]),
+        (
+            "//y",
+            "<r><x><y/></x><y/><x><x><y/></x></x></r>",
+            &[2, 3, 6],
+        ),
+        ("//a/b", "<r><a><b/><m><b/></m></a></r>", &[2]),
+        ("//a//b", "<r><a><b/><m><b/></m></a></r>", &[2, 4]),
+        ("/r/*/b", "<r><a><b/></a><c><b/></c></r>", &[2, 4]),
+        ("/r/*", "<r><a><b/></a><c><b/></c></r>", &[1, 3]),
+        ("//*", "<r><a><b/></a><c><b/></c></r>", &[0, 1, 2, 3, 4]),
+        ("//zzz", "<r><a/></r>", &[]),
+        ("/a/b", "<r><b/></r>", &[]),
+        ("//a", "<a><a><a/></a></a>", &[0, 1, 2]),
+        ("//a//a", "<a><a><a/></a></a>", &[1, 2]),
+        // XP{/,[]}.
+        ("/a/b/c", shared, &[2, 5]),
+        ("/a[d]/b/c", shared, &[2, 5]),
+        ("/a/b[e]/c", shared, &[2]),
+        ("/a[d]/b[e]/c", shared, &[2]),
+        ("/a[b]", shared, &[0]),
+        ("/a[b]/c", shared, &[]),
+        ("/a/b[e]/c", "<a><b><c/><e/></b></a>", &[2]),
+        ("/a/b[e]/c", "<a><b><c/></b><b><c/><e/></b></a>", &[4]),
+        ("/a/b[e]/c", "<a><b><c/><c/><e/></b></a>", &[2, 3]),
+        (
+            "/a/b[@id = '7']/c",
+            r#"<a><b id="7"><c>x</c></b></a>"#,
+            &[2],
+        ),
+        ("/a/b[@id = '8']/c", r#"<a><b id="7"><c>x</c></b></a>"#, &[]),
+        (
+            "/a/b/c[text() = 'x']",
+            r#"<a><b id="7"><c>x</c></b></a>"#,
+            &[2],
+        ),
+        ("/a/b[c = 'x']/c", r#"<a><b id="7"><c>x</c></b></a>"#, &[2]),
+        ("/a[b]", "<a><b/></a>", &[0]),
+        ("/a[b]", "<a><c/></a>", &[]),
+        ("/a/b/@id", r#"<a><b id="x"/><b/></a>"#, &[1]),
+        // The full language, for contrast.
+        ("//a[d]//c", shared, &[2, 5]),
+        ("//a[b]/c", shared, &[]),
+        ("/a/*[b]", "<a><x><b/></x><y/></a>", &[1]),
+    ];
+    for &(query, xml, expected) in cases {
+        assert_eq!(oracle(query, xml), expected, "oracle: {query} over {xml}");
+        let engine = TwigM::new(&parse(query).unwrap()).unwrap();
+        assert_eq!(ids(engine, xml), expected, "TwigM: {query} over {xml}");
     }
-    // XP{/,//,*} queries: PathM vs TwigM.
-    for q in ["//b/c", "//c", "/a/*/c", "//*", "/a//c"] {
-        let query = parse(q).unwrap();
-        assert_eq!(
-            ids(PathM::new(&query).unwrap(), xml),
-            ids(TwigM::new(&query).unwrap(), xml),
-            "{q}"
-        );
-    }
-    // And Engine routes correctly.
-    assert_eq!(
-        Engine::new(&parse("//b/c").unwrap())
-            .unwrap()
-            .machine_name(),
-        "PathM"
-    );
-    assert_eq!(
-        Engine::new(&parse("/a[d]/b/c").unwrap())
-            .unwrap()
-            .machine_name(),
-        "BranchM"
-    );
-    assert_eq!(
-        Engine::new(&parse("//a[d]//c").unwrap())
-            .unwrap()
-            .machine_name(),
-        "TwigM"
-    );
+    // The sub-machines' memory claims hold on TwigM too.
+    let peak = |query: &str, xml: &str| {
+        let mut engine = TwigM::new(&parse(query).unwrap()).unwrap();
+        run_engine(&mut engine, xml.as_bytes()).unwrap();
+        engine.stats().peak_entries
+    };
+    // A path query: one entry per open matched element.
+    assert_eq!(peak("//a//b", "<a><b></b><b></b><b></b><b></b></a>"), 2);
+    // A branch query: at most |Q| = 5 live entries.
+    assert!(peak("/a[d]/b[e]/c", "<a><b><c/><e/></b><d/></a>") <= 5);
 }
 
 /// §5.6: "memory usage remains at 1MB" — the streaming analogue we can
@@ -177,108 +221,37 @@ fn peak_entries_constant_as_data_grows() {
 }
 
 // ---------------------------------------------------------------------
-// Golden pins for figures 2–4: exact NodeId sets, every engine whose
-// language covers the query, through BOTH entry paths (the string
-// fallback and the symbol-dispatch hot path).
+// Golden pins for figures 2–4: exact NodeId sets from every engine whose
+// language covers the query.
 // ---------------------------------------------------------------------
 
-use twigm::stats::EngineStats;
+use twigm::attrs::AttrCollector;
+use twigm::fragments::FragmentCollector;
 use twigm::MultiTwigM;
 use twigm_baselines::{LazyDfa, NaiveEnum};
-use twigm_sax::Attribute;
-
-/// Forwards only the string entry points and hides the inner engine's
-/// symbol table, forcing `run_engine` onto the string-fallback path.
-struct StringOnly<E>(E);
-
-impl<E: StreamEngine> StreamEngine for StringOnly<E> {
-    fn start_element(
-        &mut self,
-        tag: &str,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-    ) -> bool {
-        self.0.start_element(tag, attrs, level, id)
-    }
-
-    fn text(&mut self, text: &str) {
-        self.0.text(text)
-    }
-
-    fn end_element(&mut self, tag: &str, level: u32) {
-        self.0.end_element(tag, level)
-    }
-
-    fn take_results(&mut self) -> Vec<NodeId> {
-        self.0.take_results()
-    }
-
-    fn stats(&self) -> &EngineStats {
-        self.0.stats()
-    }
-}
 
 /// Asserts `query` over `xml` yields exactly `expected` (sorted ids)
-/// from every applicable engine on both entry paths.
+/// from every applicable engine.
 fn golden(query_text: &str, xml: &str, expected: &[u64]) {
     let query = parse(query_text).unwrap();
 
     assert_eq!(
         ids(TwigM::new(&query).unwrap(), xml),
         expected,
-        "TwigM sym: {query_text}"
-    );
-    assert_eq!(
-        ids(StringOnly(TwigM::new(&query).unwrap()), xml),
-        expected,
-        "TwigM str: {query_text}"
-    );
-    assert_eq!(
-        ids(Engine::new(&query).unwrap(), xml),
-        expected,
-        "Engine: {query_text}"
+        "TwigM: {query_text}"
     );
     assert_eq!(
         ids(NaiveEnum::new(&query).unwrap(), xml),
         expected,
-        "NaiveEnum sym: {query_text}"
-    );
-    assert_eq!(
-        ids(StringOnly(NaiveEnum::new(&query).unwrap()), xml),
-        expected,
-        "NaiveEnum str: {query_text}"
+        "NaiveEnum: {query_text}"
     );
     if query.is_predicate_free() {
-        assert_eq!(
-            ids(PathM::new(&query).unwrap(), xml),
-            expected,
-            "PathM sym: {query_text}"
-        );
-        assert_eq!(
-            ids(StringOnly(PathM::new(&query).unwrap()), xml),
-            expected,
-            "PathM str: {query_text}"
-        );
         assert_eq!(
             ids(LazyDfa::new(&query).unwrap(), xml),
             expected,
             "LazyDfa: {query_text}"
         );
     }
-    if query.is_branch_only() {
-        assert_eq!(
-            ids(BranchM::new(&query).unwrap(), xml),
-            expected,
-            "BranchM sym: {query_text}"
-        );
-        assert_eq!(
-            ids(StringOnly(BranchM::new(&query).unwrap()), xml),
-            expected,
-            "BranchM str: {query_text}"
-        );
-    }
-    // The shared multi-query engine (always on the symbol path).
     let mut multi = MultiTwigM::new();
     let qid = multi.add_query(&query).unwrap();
     let mut got: Vec<u64> = multi
@@ -290,6 +263,51 @@ fn golden(query_text: &str, xml: &str, expected: &[u64]) {
         .collect();
     got.sort_unstable();
     assert_eq!(got, expected, "MultiTwigM: {query_text}");
+}
+
+/// The ids and stats of TwigM run bare over `xml`, then wrapped in each
+/// collector: a wrapper that stopped forwarding the interner would hand
+/// TwigM unknown symbols, so it would match nothing and count no pushes.
+fn assert_collectors_keep_symbol_dispatch(query_text: &str, xml: &str) {
+    let query = parse(query_text).unwrap();
+    let (bare_ids, bare) = run_engine(TwigM::new(&query).unwrap(), xml.as_bytes()).unwrap();
+    let (frag_ids, frag) = run_engine(
+        FragmentCollector::new(TwigM::new(&query).unwrap()),
+        xml.as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(frag_ids, bare_ids, "FragmentCollector ids: {query_text}");
+    assert_eq!(
+        frag.inner().stats(),
+        bare.stats(),
+        "FragmentCollector stats: {query_text}"
+    );
+    let (attr_ids, attr) = run_engine(
+        AttrCollector::new(TwigM::new(&query).unwrap(), "id"),
+        xml.as_bytes(),
+    )
+    .unwrap();
+    assert_eq!(attr_ids, bare_ids, "AttrCollector ids: {query_text}");
+    assert_eq!(
+        attr.stats(),
+        bare.stats(),
+        "AttrCollector stats: {query_text}"
+    );
+}
+
+#[test]
+fn collectors_keep_symbol_dispatch_on_the_figure_inputs() {
+    for (query, xml) in [
+        ("//a//b//c", figure1_string(4)),
+        ("//a//b//c", figure1_string(1)),
+        ("/a[d]/b[e]/c", "<a><b><c/><e/></b><d/></a>".to_string()),
+        ("/a[d]/b[e]/c", "<a><b><c/><e/></b></a>".to_string()),
+        ("/a[d]/b[e]/c", "<a><b><c/></b><d/></a>".to_string()),
+        ("//a[d]//b[e]//c", figure1_string(4)),
+        ("//a[d]//b[e]//c", "<a><b><c/></b><d/></a>".to_string()),
+    ] {
+        assert_collectors_keep_symbol_dispatch(query, &xml);
+    }
 }
 
 /// Figure 2: M2 = //a//b//c over the nested a,a,b,b,c document — c1

@@ -59,6 +59,7 @@ fn expected_stack(machine: &Machine, v: usize, actives: &[ActiveElem]) -> Vec<u3
 fn check_invariant_throughout(query: &Path, xml: &str) -> Result<(), TestCaseError> {
     let mut engine = TwigM::new(query).unwrap();
     let machine_len = engine.machine().len();
+    let symbols = engine.machine().symbols().clone();
     let mut reader = SaxReader::from_bytes(xml.as_bytes());
     let mut actives: Vec<ActiveElem> = Vec::new();
     let mut event_no = 0;
@@ -70,10 +71,11 @@ fn check_invariant_throughout(query: &Path, xml: &str) -> Result<(), TestCaseErr
                     tag: tag.name().to_string(),
                     level: tag.level(),
                 });
-                engine.start_element(tag.name(), &attrs, tag.level(), tag.id());
+                let sym = symbols.lookup(tag.name());
+                engine.start_element_sym(sym, tag.name(), &attrs, tag.level(), tag.id());
             }
             Event::End(tag) => {
-                engine.end_element(tag.name(), tag.level());
+                engine.end_element_sym(symbols.lookup(tag.name()), tag.name(), tag.level());
                 actives.pop();
             }
             Event::Text(t) => {
@@ -151,6 +153,7 @@ fn figure2_snapshot_matches_the_paper() {
     // c1 is open, v1 holds [1,2], v2 holds [3,4], v3 holds [5].
     let query = parse("//a//b//c").unwrap();
     let mut engine = TwigM::new(&query).unwrap();
+    let symbols = engine.machine().symbols().clone();
     for (tag, level, id) in [
         ("a", 1, 0),
         ("a", 2, 1),
@@ -158,7 +161,7 @@ fn figure2_snapshot_matches_the_paper() {
         ("b", 4, 3),
         ("c", 5, 4),
     ] {
-        engine.start_element(tag, &[], level, NodeId::new(id));
+        engine.start_element_sym(symbols.lookup(tag), tag, &[], level, NodeId::new(id));
     }
     assert_eq!(engine.stack_levels(), vec![vec![1, 2], vec![3, 4], vec![5]]);
 }

@@ -3,19 +3,39 @@
 //! pathological inputs.
 
 use twigm::engine::run_engine;
-use twigm::{PathM, StreamEngine, TwigM};
-use twigm_sax::NodeId;
+use twigm::{StreamEngine, TwigM};
+use twigm_sax::{NodeId, Symbol};
 use twigm_xpath::parse;
 
-/// PathM must deliver each result at the return node's start tag — i.e.
-/// before the rest of the document is read (paper §3.1).
+/// Hand-driven events by tag name: one interner lookup, then the symbol
+/// entry points the driver uses.
+trait ByName {
+    fn start(&mut self, tag: &str, level: u32, id: u64) -> bool;
+    fn end(&mut self, tag: &str, level: u32);
+}
+
+impl<E: StreamEngine> ByName for E {
+    fn start(&mut self, tag: &str, level: u32, id: u64) -> bool {
+        let sym = self.symbols().map_or(Symbol::UNKNOWN, |t| t.lookup(tag));
+        self.start_element_sym(sym, tag, &[], level, NodeId::new(id))
+    }
+
+    fn end(&mut self, tag: &str, level: u32) {
+        let sym = self.symbols().map_or(Symbol::UNKNOWN, |t| t.lookup(tag));
+        self.end_element_sym(sym, tag, level)
+    }
+}
+
+/// A predicate-free query must deliver each result at the return node's
+/// start tag — i.e. before the rest of the document is read (PathM's
+/// rule, paper §3.1, which TwigM keeps).
 #[test]
-fn pathm_emits_at_start_tag() {
+fn predicate_free_queries_emit_at_start_tag() {
     let query = parse("//a/b").unwrap();
-    let mut engine = PathM::new(&query).unwrap();
-    engine.start_element("r", &[], 1, NodeId::new(0));
-    engine.start_element("a", &[], 2, NodeId::new(1));
-    let was_candidate = engine.start_element("b", &[], 3, NodeId::new(2));
+    let mut engine = TwigM::new(&query).unwrap();
+    engine.start("r", 1, 0);
+    engine.start("a", 2, 1);
+    let was_candidate = engine.start("b", 3, 2);
     assert!(was_candidate);
     // The result is available immediately, with the element still open.
     assert_eq!(engine.take_results(), vec![NodeId::new(2)]);
@@ -28,25 +48,25 @@ fn pathm_emits_at_start_tag() {
 fn twigm_emits_when_decidable_not_at_eof() {
     let query = parse("//a[d]/b").unwrap();
     let mut engine = TwigM::new(&query).unwrap();
-    engine.start_element("r", &[], 1, NodeId::new(0));
-    engine.start_element("a", &[], 2, NodeId::new(1));
-    engine.start_element("b", &[], 3, NodeId::new(2));
-    engine.end_element("b", 3);
+    engine.start("r", 1, 0);
+    engine.start("a", 2, 1);
+    engine.start("b", 3, 2);
+    engine.end("b", 3);
     assert!(
         engine.take_results().is_empty(),
         "undecidable before the predicate resolves"
     );
-    engine.start_element("d", &[], 3, NodeId::new(3));
-    engine.end_element("d", 3);
+    engine.start("d", 3, 3);
+    engine.end("d", 3);
     // The </d> completed a's branch match: b is decided immediately.
     assert_eq!(engine.take_results(), vec![NodeId::new(2)]);
     // A later b is decided at its own START tag (a's formula already
     // holds along the chain).
-    engine.start_element("b", &[], 3, NodeId::new(4));
+    engine.start("b", 3, 4);
     assert_eq!(engine.take_results(), vec![NodeId::new(4)]);
-    engine.end_element("b", 3);
-    engine.end_element("a", 2);
-    engine.end_element("r", 1);
+    engine.end("b", 3);
+    engine.end("a", 2);
+    engine.end("r", 1);
     assert!(engine.take_results().is_empty(), "no duplicates at pops");
 }
 
@@ -110,11 +130,11 @@ fn split_text_events_evaluate_like_whole_text() {
     let query = parse("//t[text() = 'hello world']").unwrap();
     let run_split = |chunks: &[&str]| {
         let mut engine = TwigM::new(&query).unwrap();
-        engine.start_element("t", &[], 1, NodeId::new(0));
+        engine.start("t", 1, 0);
         for c in chunks {
             engine.text(c);
         }
-        engine.end_element("t", 1);
+        engine.end("t", 1);
         engine.take_results().len()
     };
     assert_eq!(run_split(&["hello world"]), 1);
@@ -127,15 +147,15 @@ fn split_text_events_evaluate_like_whole_text() {
 #[test]
 fn incremental_draining_is_exact() {
     let query = parse("//a").unwrap();
-    let mut engine = PathM::new(&query).unwrap();
+    let mut engine = TwigM::new(&query).unwrap();
     let mut total = 0;
-    engine.start_element("r", &[], 1, NodeId::new(0));
+    engine.start("r", 1, 0);
     for i in 0..100u64 {
-        engine.start_element("a", &[], 2, NodeId::new(i + 1));
-        engine.end_element("a", 2);
+        engine.start("a", 2, i + 1);
+        engine.end("a", 2);
         total += engine.take_results().len();
     }
-    engine.end_element("r", 1);
+    engine.end("r", 1);
     total += engine.take_results().len();
     assert_eq!(total, 100);
 }
@@ -157,6 +177,5 @@ fn malformed_streams_error_cleanly() {
     for xml in [&b"<a><b></a>"[..], b"<a>", b"", b"<a/><b/>"] {
         let query = parse("//a").unwrap();
         assert!(run_engine(TwigM::new(&query).unwrap(), xml).is_err());
-        assert!(run_engine(PathM::new(&query).unwrap(), xml).is_err());
     }
 }
