@@ -333,6 +333,31 @@ fn attribute_entities_are_checked_whatever_the_query_mentions() {
     }
 }
 
+/// Bytes the reader never turns into an event (a processing
+/// instruction's data, the XML declaration) are still checked for UTF-8,
+/// and every mode reports the bad byte instead of panicking.
+#[test]
+fn invalid_utf8_in_pi_data_and_the_declaration_exits_two() {
+    for (xml, offset) in [
+        (&b"<r><?pi \xff?></r>"[..], 8),
+        (b"<?xml version=\"1.0\" encoding=\"\xff\"?><r/>", 30),
+    ] {
+        let invocations: [&[&str]; 4] = [
+            &["--count", "//r"],
+            &["--engine", "dom", "--count", "//r"],
+            &["--threads", "2", "--count", "//r"],
+            &["-q", "//r", "-q", "//x"],
+        ];
+        for args in invocations {
+            let (out, err, code) = run_with_stdin(args, xml);
+            assert_eq!(code, 2, "{args:?}: {err}");
+            assert_eq!(out, "", "{args:?}");
+            let expected = format!("invalid UTF-8 at byte {offset}");
+            assert!(err.contains(&expected), "{args:?}: {err}");
+        }
+    }
+}
+
 #[test]
 fn character_references_must_name_xml_chars() {
     for (xml, query) in [

@@ -250,11 +250,13 @@ impl<E: ?Sized> DriveHook<E> for () {
 /// non-zero hands `progress` a sample after every `every` events.
 /// Result arrival is seen through the engine's `stats().results`
 /// counter (every engine bumps it at the emitting transition), so the
-/// per-event cost is a couple of counter updates.
+/// per-event cost is a couple of counter updates and compares.
 pub struct Telemetry<F> {
     /// What has been accounted so far.
     pub stream: StreamTelemetry,
     every: u64,
+    /// The event count of the next progress sample (`u64::MAX`: none).
+    next_sample: u64,
     progress: F,
 }
 
@@ -264,6 +266,7 @@ impl<F: FnMut(&StreamProgress)> Telemetry<F> {
         Telemetry {
             stream: StreamTelemetry::default(),
             every,
+            next_sample: if every == 0 { u64::MAX } else { every },
             progress,
         }
     }
@@ -271,19 +274,19 @@ impl<F: FnMut(&StreamProgress)> Telemetry<F> {
 
 impl<E: StreamEngine + ?Sized, F: FnMut(&StreamProgress)> DriveHook<E> for Telemetry<F> {
     fn after_event(&mut self, engine: &mut E, start_level: u32, bytes: u64) -> ControlFlow<()> {
-        let results = engine.stats().results;
         let t = &mut self.stream;
         t.events += 1;
         t.max_depth = t.max_depth.max(start_level);
-        if t.first_result_event.is_none() && results > 0 {
+        if t.first_result_event.is_none() && engine.stats().results > 0 {
             t.first_result_event = Some(t.events);
             t.first_result_byte = Some(bytes);
         }
-        if self.every != 0 && t.events.is_multiple_of(self.every) {
+        if t.events == self.next_sample {
+            self.next_sample = self.next_sample.saturating_add(self.every);
             (self.progress)(&StreamProgress {
                 bytes,
                 events: t.events,
-                results,
+                results: engine.stats().results,
             });
         }
         ControlFlow::Continue(())

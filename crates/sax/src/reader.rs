@@ -9,6 +9,9 @@ use crate::error::{SaxError, SaxResult};
 use crate::event::{check_attribute_refs, EndTag, Event, NodeId, StartTag};
 use crate::scan;
 
+mod input;
+use input::InputBuf;
+
 /// Read granularity of the internal buffer.
 const CHUNK: usize = 64 * 1024;
 /// When this much text accumulates without markup, a partial
@@ -25,20 +28,11 @@ const DEFAULT_MAX_MARKUP: usize = 16 * 1024 * 1024;
 struct Scanner<R> {
     src: R,
     /// Buffered input; `buf[pos..]` is unconsumed.
-    buf: Vec<u8>,
+    buf: InputBuf,
     pos: usize,
     eof: bool,
-    /// Absolute stream offset of `buf[0]`.
-    base: u64,
-    /// Names of currently open elements (the paper's *active nodes*),
-    /// concatenated into one reusable byte stack: `open_names[open_offsets[i]..
-    /// open_offsets[i + 1]]` is the validated-UTF-8 name of the `i`-th open
-    /// element. Pushing a start tag appends bytes instead of allocating an
-    /// owned `String` per element; `String`s are only materialized on error
-    /// paths.
-    open_names: Vec<u8>,
-    /// Start offset of each open element's name within `open_names`.
-    open_offsets: Vec<usize>,
+    /// Names of currently open elements (the paper's *active nodes*).
+    open: OpenNames,
     next_id: u64,
     root_seen: bool,
     /// The previous event was a synthetic empty-tag end that borrowed its
@@ -57,6 +51,46 @@ struct Scanner<R> {
     events: u64,
 }
 
+/// The names of the open elements, concatenated into one reusable string:
+/// `names[offsets[i]..offsets[i + 1]]` is the name of the `i`-th open
+/// element. Pushing a start tag appends bytes instead of allocating an
+/// owned `String` per element; `String`s are only materialized on error
+/// paths.
+#[derive(Default)]
+struct OpenNames {
+    names: String,
+    offsets: Vec<usize>,
+}
+
+impl OpenNames {
+    #[inline]
+    fn push(&mut self, name: &str) {
+        self.offsets.push(self.names.len());
+        self.names.push_str(name);
+    }
+
+    #[inline]
+    fn pop(&mut self) {
+        if let Some(off) = self.offsets.pop() {
+            self.names.truncate(off);
+        }
+    }
+
+    /// Name of the innermost open element, if any.
+    #[inline]
+    fn last(&self) -> Option<&str> {
+        self.offsets.last().map(|&off| &self.names[off..])
+    }
+
+    fn depth(&self) -> u32 {
+        self.offsets.len() as u32
+    }
+
+    fn is_empty(&self) -> bool {
+        self.offsets.is_empty()
+    }
+}
+
 /// What the scanner found, as plain ranges into `buf`.
 ///
 /// The scanner performs no buffer mutation after computing the ranges it
@@ -73,10 +107,13 @@ enum Scanned {
     End {
         name: (usize, usize),
         offset: u64,
+        /// The name is that of the innermost open element.
+        matched: bool,
     },
     Text {
         range: (usize, usize),
-        cdata: bool,
+        /// The text holds an `&` to decode (never set for CDATA).
+        refs: bool,
     },
     Comment {
         range: (usize, usize),
@@ -168,26 +205,29 @@ impl<R: Read> SaxReader<R> {
         if let Some(e) = &self.failed {
             return Err(e.0.clone());
         }
-        let result = self.scanner.next_event();
-        if let Err(e) = &result {
-            if !matches!(e, SaxError::Io(io) if io.kind() == std::io::ErrorKind::WouldBlock) {
-                self.failed = Some(AssertUnwindSafe(e.clone()));
-            }
-        }
-        result
+        let failed = &mut self.failed;
+        self.scanner.next_event().map_err(|e| fuse(failed, e))
     }
+}
+
+/// Records `e` as the reader's terminal error, unless it is the
+/// resumable `WouldBlock` of a [`FeedReader`] waiting for input.
+#[cold]
+fn fuse(failed: &mut Option<AssertUnwindSafe<SaxError>>, e: SaxError) -> SaxError {
+    if !matches!(&e, SaxError::Io(io) if io.kind() == std::io::ErrorKind::WouldBlock) {
+        *failed = Some(AssertUnwindSafe(e.clone()));
+    }
+    e
 }
 
 impl<R: Read> Scanner<R> {
     fn new(src: R) -> Self {
         Scanner {
             src,
-            buf: Vec::with_capacity(CHUNK),
+            buf: InputBuf::new(),
             pos: 0,
             eof: false,
-            base: 0,
-            open_names: Vec::new(),
-            open_offsets: Vec::new(),
+            open: OpenNames::default(),
             next_id: 0,
             root_seen: false,
             pending_pop: false,
@@ -200,64 +240,40 @@ impl<R: Read> Scanner<R> {
     }
 
     fn offset(&self) -> u64 {
-        self.base + self.pos as u64
+        self.buf.base() + self.pos as u64
     }
 
     fn depth(&self) -> u32 {
-        self.open_offsets.len() as u32
-    }
-
-    /// Pushes an open element name (already validated as UTF-8) from
-    /// `buf[range]` onto the reusable name stack.
-    fn push_open(&mut self, range: (usize, usize)) {
-        self.open_offsets.push(self.open_names.len());
-        self.open_names
-            .extend_from_slice(&self.buf[range.0..range.1]);
-    }
-
-    /// Pops the innermost open element name.
-    fn pop_open(&mut self) {
-        if let Some(off) = self.open_offsets.pop() {
-            self.open_names.truncate(off);
-        }
-    }
-
-    /// Name bytes of the innermost open element, if any.
-    fn last_open(&self) -> Option<&[u8]> {
-        self.open_offsets.last().map(|&off| &self.open_names[off..])
-    }
-
-    /// Name of the innermost open element as a `&str`.
-    fn last_open_str(&self) -> Option<&str> {
-        self.last_open()
-            .map(|bytes| std::str::from_utf8(bytes).expect("open names are validated UTF-8"))
+        self.open.depth()
     }
 
     /// Parses the next event; [`SaxReader::next_event`] adds the fuse.
+    ///
+    /// Each arm converts its ranges with `self.buf.str_at` once, before
+    /// any state changes, and then mutates only fields other than `buf`,
+    /// so the event can keep borrowing those conversions.
     fn next_event(&mut self) -> SaxResult<Option<Event<'_>>> {
         if self.pending_pop {
-            self.pop_open();
+            self.open.pop();
             self.pending_pop = false;
         }
         if self.pending_empty_end {
             self.pending_empty_end = false;
             self.pending_pop = true;
-            let level = self.open_offsets.len() as u32;
+            let level = self.open.depth();
             self.events += 1;
-            let name = self
-                .last_open_str()
-                .expect("empty-tag end with empty stack");
+            let name = self.open.last().expect("empty-tag end with empty stack");
             return Ok(Some(Event::End(EndTag { name, level })));
         }
         loop {
             match self.scan_next()? {
                 Scanned::Doctype { range } => {
-                    let text = self.str_at(range)?.to_string();
-                    parse_entity_decls(&text, &mut self.entities);
+                    let text = self.buf.str_at(range)?;
+                    parse_entity_decls(text, &mut self.entities);
                     continue;
                 }
                 Scanned::Eof => {
-                    if let Some(name) = self.last_open_str() {
+                    if let Some(name) = self.open.last() {
                         return Err(SaxError::UnexpectedEof {
                             open_element: Some(name.to_string()),
                         });
@@ -274,14 +290,13 @@ impl<R: Read> Scanner<R> {
                     self_closing,
                     offset,
                 } => {
-                    // Validate UTF-8 before mutating state. Only the error
-                    // path materializes an owned name.
-                    self.str_at(name)?;
-                    let attr_text = self.str_at(attr)?;
-                    if self.open_offsets.is_empty() && self.root_seen {
+                    // Only the error path materializes an owned name.
+                    let name = self.buf.str_at(name)?;
+                    let attr_text = self.buf.str_at(attr)?;
+                    if self.open.is_empty() && self.root_seen {
                         return Err(SaxError::MultipleRoots {
                             offset,
-                            name: self.str_at(name)?.to_string(),
+                            name: name.to_string(),
                         });
                     }
                     // References in attribute values are checked here, for
@@ -291,16 +306,13 @@ impl<R: Read> Scanner<R> {
                     if refs {
                         check_attribute_refs(attr_text, offset, &self.entities)?;
                     }
-                    self.push_open(name);
+                    self.open.push(name);
                     self.root_seen = true;
-                    let level = self.open_offsets.len() as u32;
+                    let level = self.open.depth();
                     let id = NodeId::new(self.next_id);
                     self.next_id += 1;
                     self.pending_empty_end = self_closing;
                     self.events += 1;
-                    // All mutation done; take the final borrows.
-                    let name = str_unchecked(&self.buf, name);
-                    let attr_text = str_unchecked(&self.buf, attr);
                     return Ok(Some(Event::Start(StartTag {
                         name,
                         attr_text,
@@ -310,53 +322,50 @@ impl<R: Read> Scanner<R> {
                         entities: Some(&self.entities),
                     })));
                 }
-                Scanned::End { name, offset } => {
-                    let found = self.str_at(name)?;
-                    match self.last_open() {
-                        None => {
-                            return Err(SaxError::UnexpectedEndTag {
+                Scanned::End {
+                    name,
+                    offset,
+                    matched,
+                } => {
+                    let found = self.buf.str_at(name)?;
+                    if !matched {
+                        return Err(match self.open.last() {
+                            None => SaxError::UnexpectedEndTag {
                                 offset,
                                 found: found.to_string(),
-                            })
-                        }
-                        Some(expected) if expected != found.as_bytes() => {
-                            return Err(SaxError::MismatchedTag {
+                            },
+                            Some(expected) => SaxError::MismatchedTag {
                                 offset,
-                                expected: self.last_open_str().expect("checked").to_string(),
+                                expected: expected.to_string(),
                                 found: found.to_string(),
-                            })
-                        }
-                        Some(_) => {}
+                            },
+                        });
                     }
-                    let level = self.open_offsets.len() as u32;
-                    self.pop_open();
+                    let level = self.open.depth();
+                    self.open.pop();
                     self.events += 1;
-                    let name = str_unchecked(&self.buf, name);
-                    return Ok(Some(Event::End(EndTag { name, level })));
+                    return Ok(Some(Event::End(EndTag { name: found, level })));
                 }
-                Scanned::Text { range, cdata } => {
-                    if self.open_offsets.is_empty() {
+                Scanned::Text { range, refs } => {
+                    if self.open.is_empty() {
                         // Only whitespace may appear outside the root.
                         let bytes = &self.buf[range.0..range.1];
                         if bytes.iter().all(|b| b.is_ascii_whitespace()) {
                             continue;
                         }
                         return Err(SaxError::TextOutsideRoot {
-                            offset: self.base + range.0 as u64,
+                            offset: self.buf.base() + range.0 as u64,
                         });
                     }
                     if range.0 == range.1 {
                         continue;
                     }
-                    let offset = self.base + range.0 as u64;
+                    let offset = self.buf.base() + range.0 as u64;
                     self.events += 1;
-                    self.str_at(range)?; // validate UTF-8
-                    let s = str_unchecked(&self.buf, range);
+                    let s = self.buf.str_at(range)?;
                     // Decode into the reusable scratch: no per-event
-                    // `String` once the scratch has grown. `buf` and
-                    // `text_scratch` are disjoint fields, so the decode
-                    // can read one while writing the other.
-                    let text = if !cdata
+                    // `String` once the scratch has grown.
+                    let text = if refs
                         && decode_entities_into(
                             s,
                             offset,
@@ -365,23 +374,25 @@ impl<R: Read> Scanner<R> {
                         )? {
                         Cow::Borrowed(self.text_scratch.as_str())
                     } else {
-                        Cow::Borrowed(str_unchecked(&self.buf, range))
+                        Cow::Borrowed(s)
                     };
                     return Ok(Some(Event::Text(text)));
                 }
                 Scanned::Comment { range } => {
                     self.events += 1;
-                    let s = self.str_at(range)?;
+                    let s = self.buf.str_at(range)?;
                     return Ok(Some(Event::Comment(s)));
                 }
                 Scanned::Pi { target, data } => {
-                    let target_s = self.str_at(target)?;
-                    if target_s.eq_ignore_ascii_case("xml") {
-                        continue; // XML declaration
+                    if self.buf[target.0..target.1].eq_ignore_ascii_case(b"xml") {
+                        // The XML declaration: no event, but its bytes are
+                        // held to UTF-8 like every other range.
+                        self.buf.str_at(data)?;
+                        continue;
                     }
+                    let target = self.buf.str_at(target)?;
+                    let data = self.buf.str_at(data)?;
                     self.events += 1;
-                    let target = str_unchecked(&self.buf, target);
-                    let data = str_unchecked(&self.buf, data);
                     return Ok(Some(Event::ProcessingInstruction { target, data }));
                 }
             }
@@ -423,10 +434,23 @@ impl<R: Read> Scanner<R> {
     fn scan_text(&mut self) -> SaxResult<Scanned> {
         let offset = self.offset();
         let mut searched = 0;
+        // The pass that finds the end of the text also notes whether it
+        // holds a reference, so text without one is not searched again.
+        let mut refs = false;
         let end = loop {
             let hay = &self.buf[self.pos..];
-            if let Some(i) = scan::memchr(b'<', &hay[searched..]) {
-                break searched + i;
+            let found = if refs {
+                scan::memchr(b'<', &hay[searched..])
+            } else {
+                scan::memchr2(b'<', b'&', &hay[searched..])
+            };
+            if let Some(i) = found {
+                if hay[searched + i] == b'<' {
+                    break searched + i;
+                }
+                refs = true;
+                searched += i + 1;
+                continue;
             }
             searched = hay.len();
             if self.eof {
@@ -444,10 +468,7 @@ impl<R: Read> Scanner<R> {
         };
         let range = (self.pos, self.pos + end);
         self.pos += end;
-        Ok(Scanned::Text {
-            range,
-            cdata: false,
-        })
+        Ok(Scanned::Text { range, refs })
     }
 
     fn scan_end_tag(&mut self) -> SaxResult<Scanned> {
@@ -460,10 +481,19 @@ impl<R: Read> Scanner<R> {
         while start < end && scan::is_space(self.buf[end - 1]) {
             end -= 1;
         }
-        self.validate_name(start, end, offset)?;
+        // The name of the innermost open element was validated with its
+        // start tag, so an end tag that matches it needs no second look.
+        let matched = self.open.last().map(str::as_bytes) == Some(&self.buf[start..end]);
+        if !matched {
+            self.validate_name(start, end, offset)?;
+        }
         let name = (start, end);
         self.pos += gt + 1;
-        Ok(Scanned::End { name, offset })
+        Ok(Scanned::End {
+            name,
+            offset,
+            matched,
+        })
     }
 
     fn scan_comment(&mut self) -> SaxResult<Scanned> {
@@ -483,7 +513,7 @@ impl<R: Read> Scanner<R> {
             .ok_or_else(|| self.syntax_at(offset, "unterminated CDATA section"))?;
         let range = (self.pos + 9, self.pos + end);
         self.pos += end + 3;
-        Ok(Scanned::Text { range, cdata: true })
+        Ok(Scanned::Text { range, refs: false })
     }
 
     /// Skips `<!DOCTYPE ...>` (and any other `<!` declaration), honouring
@@ -560,7 +590,7 @@ impl<R: Read> Scanner<R> {
                             }
                             b'<' => {
                                 return Err(self.syntax_at(
-                                    self.base + (self.pos + rel + i) as u64,
+                                    self.buf.base() + (self.pos + rel + i) as u64,
                                     "`<` inside a tag",
                                 ))
                             }
@@ -590,9 +620,12 @@ impl<R: Read> Scanner<R> {
             interior_end -= 1;
         }
         // The name is the leading run of name characters (bulk-skipped via
-        // the byte-class table); anything after it is attribute text.
+        // the byte-class table); anything after it is attribute text. So
+        // only its first byte is left to validate.
         let name_end = interior_start + scan::name_run_len(&self.buf[interior_start..interior_end]);
-        self.validate_name(interior_start, name_end, offset)?;
+        if name_end == interior_start || !scan::is_name_start(self.buf[interior_start]) {
+            return Err(self.syntax_at(offset, "invalid name"));
+        }
         let name = (interior_start, name_end);
         let attr = (name_end, interior_end);
         let refs = self.validate_attrs(attr, offset)?;
@@ -685,30 +718,10 @@ impl<R: Read> Scanner<R> {
             return Ok(());
         }
         if self.pos >= CHUNK || self.pos == self.buf.len() {
-            // Compact: slide the unconsumed tail to the front. A plain
-            // `copy_within` + `truncate` — unlike `drain(..pos)` there is
-            // no iterator/drop machinery, just one overlapping memmove.
-            self.base += self.pos as u64;
-            let len = self.buf.len();
-            self.buf.copy_within(self.pos.., 0);
-            self.buf.truncate(len - self.pos);
+            self.buf.compact(self.pos);
             self.pos = 0;
         }
-        let old = self.buf.len();
-        self.buf.resize(old + CHUNK, 0);
-        let n = match self.src.read(&mut self.buf[old..]) {
-            Ok(n) => n,
-            Err(e) => {
-                // Drop the zero padding before surfacing the error:
-                // a resumable source (FeedReader's `WouldBlock`) retries
-                // the same parse, which must not see the padding as
-                // document bytes.
-                self.buf.truncate(old);
-                return Err(e.into());
-            }
-        };
-        self.buf.truncate(old + n);
-        if n == 0 {
+        if self.buf.read_from(&mut self.src)? == 0 {
             self.eof = true;
         }
         Ok(())
@@ -770,12 +783,6 @@ impl<R: Read> Scanner<R> {
             });
         }
         Ok(())
-    }
-
-    fn str_at(&self, range: (usize, usize)) -> SaxResult<&str> {
-        std::str::from_utf8(&self.buf[range.0..range.1]).map_err(|e| SaxError::InvalidUtf8 {
-            offset: self.base + (range.0 + e.valid_up_to()) as u64,
-        })
     }
 
     fn syntax_at(&self, offset: u64, message: &str) -> SaxError {
@@ -933,11 +940,6 @@ impl Default for FeedReader {
     fn default() -> Self {
         FeedReader::new()
     }
-}
-
-/// Re-slices a range already validated as UTF-8.
-fn str_unchecked(buf: &[u8], range: (usize, usize)) -> &str {
-    std::str::from_utf8(&buf[range.0..range.1]).expect("range was validated as UTF-8")
 }
 
 /// Largest prefix length of `s` that neither splits a UTF-8 character nor

@@ -117,6 +117,7 @@ pub fn set_force_scalar(enabled: bool) {
 }
 
 /// Is the scalar fallback currently forced?
+#[inline]
 pub fn force_scalar_enabled() -> bool {
     FORCE_SCALAR.load(Ordering::Relaxed)
 }

@@ -317,3 +317,38 @@ fn reader_is_fused_after_the_first_error() {
         assert_eq!(error.as_deref(), Some(first.to_string().as_str()), "{doc}");
     }
 }
+
+/// Drains a document fed one byte at a time: `Ok(())` or the error.
+fn drain_fed(xml: &[u8]) -> Result<(), SaxError> {
+    let mut feed = FeedReader::new();
+    for byte in xml {
+        feed.feed(std::slice::from_ref(byte));
+        while let FeedEvent::Event(_) = feed.next_event()? {}
+    }
+    feed.finish();
+    loop {
+        match feed.next_event()? {
+            FeedEvent::Event(_) => {}
+            FeedEvent::Done => return Ok(()),
+            FeedEvent::NeedData => unreachable!("NeedData after finish"),
+        }
+    }
+}
+
+/// A processing instruction's data and the XML declaration are held to
+/// UTF-8 like every other range, whether or not an event carries them.
+#[test]
+fn pi_data_and_the_xml_declaration_are_utf8_checked() {
+    for (doc, offset) in [
+        (&b"<r><?pi \xff?></r>"[..], 8),
+        (b"<?xml version=\"1.0\" encoding=\"\xff\"?><r/>", 30),
+    ] {
+        let shown = String::from_utf8_lossy(doc);
+        for outcome in [drain(doc), drain_fed(doc)] {
+            match outcome {
+                Err(SaxError::InvalidUtf8 { offset: at }) => assert_eq!(at, offset, "{shown}"),
+                other => panic!("{shown}: expected InvalidUtf8, got {other:?}"),
+            }
+        }
+    }
+}
