@@ -3,7 +3,8 @@
 //! A command-line front end for the TwigM streaming XPath processor:
 //! evaluates one or more `XP{/,//,*,[]}` queries over a file or stdin in
 //! a single pass with bounded memory, printing node ids, fragments, or
-//! counts.
+//! counts. A serial run prints each result as soon as it is decided
+//! (see `sink`).
 //!
 //! ```text
 //! twigm '//book[@year >= 2000]/title' catalog.xml
@@ -12,14 +13,17 @@
 //! twigm -q '//alert' -q '//order[total > 10]' feed.xml   # standing queries
 //! ```
 
-use std::io::{BufReader, Read, Write};
+use std::cell::RefCell;
+use std::io::{BufReader, ErrorKind, Read};
 use std::process::ExitCode;
 use std::time::Instant;
 
 mod args;
 mod run;
+mod sink;
 
 use args::Args;
+use sink::Sink;
 
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
@@ -31,8 +35,30 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run_cli(&args) {
+    let start = Instant::now();
+    let mut stdout = std::io::stdout().lock();
+    let sink = RefCell::new(Sink::new(&mut stdout));
+    let run = input(&args).and_then(|mut input| {
+        if args.queries.len() > 1 || args.filter {
+            run::run_multi(&args, &mut input, &sink)
+        } else {
+            run::run_single(&args, &mut input, &sink)
+        }
+    });
+    // The lines written before an error stay written. A failed write
+    // outranks the run's own outcome, since it is what stopped a
+    // streaming run; a closed pipe is a reader such as `head` saying it
+    // has seen enough, so it ends the run quietly and successfully.
+    let run = match sink.into_inner().finish() {
+        Ok(()) => run,
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => return ExitCode::SUCCESS,
+        Err(e) => Err(e.to_string()),
+    };
+    match run {
         Ok(matches) => {
+            if args.time {
+                eprintln!("twigm: {matches} match(es) in {:.3?}", start.elapsed());
+            }
             if matches > 0 {
                 ExitCode::SUCCESS
             } else {
@@ -44,22 +70,6 @@ fn main() -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-fn run_cli(args: &Args) -> Result<u64, String> {
-    let start = Instant::now();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let matches = if args.queries.len() > 1 || args.filter {
-        run::run_multi(args, &mut input(args)?, &mut out)?
-    } else {
-        run::run_single(args, &mut input(args)?, &mut out)?
-    };
-    out.flush().map_err(|e| e.to_string())?;
-    if args.time {
-        eprintln!("twigm: {matches} match(es) in {:.3?}", start.elapsed());
-    }
-    Ok(matches)
 }
 
 // `Send` so the pipelined path (`--threads`) can move the stream to the

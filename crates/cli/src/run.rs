@@ -1,7 +1,8 @@
 //! Query execution for the CLI: engine selection, output modes, stats,
 //! tracing, and progress reporting.
 
-use std::io::{Read, Write};
+use std::cell::RefCell;
+use std::io::Read;
 use std::time::{Duration, Instant};
 
 use twigm::attrs::AttrCollector;
@@ -17,6 +18,7 @@ use twigm_sax::NodeId;
 use twigm_xpath::Path;
 
 use crate::args::{Args, EngineChoice, OutputMode, StatsMode};
+use crate::sink::{Emit, FlushBeforeRead, Sink};
 
 /// Events between `--progress` heartbeats.
 const PROGRESS_INTERVAL: u64 = 4096;
@@ -31,15 +33,17 @@ struct RunMeta {
     pipeline: Option<PipelineStats>,
 }
 
-/// Streams `input` through `engine`, leaving the results in it. With
-/// `--threads` the pipeline runs it; otherwise the serial loop does, with
-/// the telemetry hook on only when the flags need it (byte/event
-/// accounting, first-result latency, progress), so `--stats` (text)
-/// keeps the plain hot path.
+/// Streams `input` through `engine`. With `--threads` the pipeline runs
+/// it and leaves the results in the engine; otherwise the serial loop
+/// does, with `emit` printing results as they are decided and the
+/// telemetry hook on only when the flags need it (byte/event accounting,
+/// first-result latency, progress), so `--stats` (text) keeps the plain
+/// hot path. A run whose output has failed stops with an error.
 fn drive<E: StreamEngine + Send>(
     args: &Args,
     engine: &mut E,
     input: &mut (dyn Read + Send),
+    emit: Option<&mut Emit<'_, '_, E>>,
 ) -> Result<RunMeta, String> {
     let start = Instant::now();
     let mut meta = RunMeta::default();
@@ -47,52 +51,83 @@ fn drive<E: StreamEngine + Send>(
         let opts = PipelineOptions::default();
         let stats = run_pipeline(std::slice::from_mut(engine), input, &opts);
         meta.pipeline = Some(stats.map_err(|e| e.to_string())?);
-    } else if args.progress || matches!(args.stats, StatsMode::Json | StatsMode::Pretty) {
+    } else {
         let mut first: Option<Duration> = None;
         let mut next_heartbeat = PROGRESS_INTERVAL;
-        let mut hook = Telemetry::new(1, |p: &StreamProgress| {
-            if first.is_none() && p.results > 0 {
-                first = Some(start.elapsed());
-            }
-            if args.progress && p.events >= next_heartbeat {
-                next_heartbeat = p.events + PROGRESS_INTERVAL;
-                eprintln!("twigm: {}", format_progress(p, start.elapsed()));
-            }
+        let wants_telemetry =
+            args.progress || matches!(args.stats, StatsMode::Json | StatsMode::Pretty);
+        let mut telemetry = wants_telemetry.then(|| {
+            Telemetry::new(1, |p: &StreamProgress| {
+                if first.is_none() && p.results > 0 {
+                    first = Some(start.elapsed());
+                }
+                if args.progress && p.events >= next_heartbeat {
+                    next_heartbeat = p.events + PROGRESS_INTERVAL;
+                    eprintln!("twigm: {}", format_progress(p, start.elapsed()));
+                }
+            })
         });
-        let bytes = drive_serial(engine, input, &mut hook).map_err(|e| e.to_string())?;
-        meta.telemetry = Some(StreamTelemetry {
-            bytes,
-            ..hook.stream
-        });
-        meta.time_to_first_result = first;
-    } else {
-        drive_serial(engine, input, &mut ()).map_err(|e| e.to_string())?;
+        // One call per combination of hooks, so each loop carries only
+        // the hooks it runs.
+        let sink = emit.as_ref().map(|e| e.sink());
+        let bytes = match (telemetry.as_mut(), emit) {
+            (None, None) => drive_serial(engine, input, &mut ()),
+            (Some(t), None) => drive_serial(engine, input, t),
+            (None, Some(e)) => drive_serial(engine, FlushBeforeRead::new(input, e.sink()), e),
+            (Some(t), Some(e)) => {
+                drive_serial(engine, FlushBeforeRead::new(input, e.sink()), &mut (t, e))
+            }
+        };
+        if sink.is_some_and(|s| s.borrow().failed()) {
+            return Err("output closed".into());
+        }
+        let bytes = bytes.map_err(|e| e.to_string())?;
+        if let Some(hook) = telemetry {
+            meta.telemetry = Some(StreamTelemetry {
+                bytes,
+                ..hook.stream
+            });
+            meta.time_to_first_result = first;
+        }
     }
     meta.duration = start.elapsed();
     Ok(meta)
 }
 
-/// Prints the ids one per line, or with `-c` only their number; returns
-/// the number.
-fn write_ids(args: &Args, out: &mut dyn Write, ids: &[NodeId]) -> Result<u64, String> {
-    let io_err = |e: std::io::Error| e.to_string();
+/// Drives `engine` over `input` and prints, through the sink, the lines
+/// `print` drains from it: as each result is decided on a serial run,
+/// after EOF on a pipelined one. `-c` prints only the number of results.
+/// Returns that number.
+fn drive_and_print<E: StreamEngine + Send>(
+    args: &Args,
+    engine: &mut E,
+    input: &mut (dyn Read + Send),
+    out: &RefCell<Sink<'_>>,
+    print: fn(&mut E, &mut Sink<'_>) -> u64,
+) -> Result<(u64, RunMeta), String> {
     if args.output == OutputMode::Count {
-        writeln!(out, "{}", ids.len()).map_err(io_err)?;
+        let meta = drive(args, engine, input, None)?;
+        Ok((print_ids(args, out, engine.take_results()), meta))
+    } else if args.threads > 1 {
+        let meta = drive(args, engine, input, None)?;
+        Ok((print(engine, &mut out.borrow_mut()), meta))
     } else {
-        for id in ids {
-            writeln!(out, "{id}").map_err(io_err)?;
-        }
+        let mut emit = Emit::new(out, print);
+        let meta = drive(args, engine, input, Some(&mut emit))?;
+        Ok((emit.printed(), meta))
     }
-    Ok(ids.len() as u64)
 }
 
-/// Prints the text of each `(id, text)` pair on a line; returns the
-/// number of pairs.
-fn write_texts(out: &mut dyn Write, pairs: &[(NodeId, String)]) -> Result<u64, String> {
-    for (_, text) in pairs {
-        writeln!(out, "{text}").map_err(|e| e.to_string())?;
+/// Prints a result list held until EOF: the ids one per line, or with
+/// `-c` only their number; returns the number.
+fn print_ids(args: &Args, out: &RefCell<Sink<'_>>, ids: Vec<NodeId>) -> u64 {
+    let mut out = out.borrow_mut();
+    if args.output == OutputMode::Count {
+        out.line(ids.len());
+        ids.len() as u64
+    } else {
+        out.lines(ids)
     }
-    Ok(pairs.len() as u64)
 }
 
 /// Runs a single query, prints per `args.output`, returns the match
@@ -100,7 +135,7 @@ fn write_texts(out: &mut dyn Write, pairs: &[(NodeId, String)]) -> Result<u64, S
 pub fn run_single(
     args: &Args,
     input: &mut (dyn Read + Send),
-    out: &mut dyn Write,
+    out: &RefCell<Sink<'_>>,
 ) -> Result<u64, String> {
     // A `|` union runs through the multi-query engine with set-union
     // output.
@@ -141,7 +176,8 @@ pub fn run_single(
 }
 
 /// A `a | b` union: every branch compiles into the multi-query engine
-/// and the result sets merge. Rides the same drive/stats path as the
+/// and the result sets merge into document order, deduplicated, so the
+/// ids print after EOF. Rides the same drive/stats path as the
 /// single-query modes, so `--stats`/`--progress` work here too; with
 /// `--threads` the branches are sharded over `threads - 1` engines whose
 /// results merge into document order, byte-identical to the serial run.
@@ -149,7 +185,7 @@ fn run_union(
     args: &Args,
     branches: &[Path],
     input: &mut (dyn Read + Send),
-    out: &mut dyn Write,
+    out: &RefCell<Sink<'_>>,
 ) -> Result<u64, String> {
     if args.engine != EngineChoice::Twig {
         return Err("union queries run on the TwigM engine only".into());
@@ -176,7 +212,7 @@ fn run_union(
         for branch in branches {
             engine.add_query(branch).map_err(|e| e.to_string())?;
         }
-        let meta = drive(args, &mut engine, input)?;
+        let meta = drive(args, &mut engine, input, None)?;
         // Set-union semantics: sort into document order, drop ids
         // matched by several branches.
         let mut ids = StreamEngine::take_results(&mut engine);
@@ -184,7 +220,7 @@ fn run_union(
         ids.dedup();
         (ids, engine.stats().clone(), engine.machine_size(), meta)
     };
-    let count = write_ids(args, out, &ids)?;
+    let count = print_ids(args, out, ids);
     report_stats(args, "multi", &stats, Some(machine_size), &meta);
     Ok(count)
 }
@@ -196,14 +232,15 @@ fn run_traced(
     args: &Args,
     query: &Path,
     input: &mut (dyn Read + Send),
-    out: &mut dyn Write,
+    out: &RefCell<Sink<'_>>,
 ) -> Result<u64, String> {
     // Args::parse keeps the baselines away from --trace.
     let mut engine =
         Engine::with_observer(query, TransitionTracer::new()).map_err(|e| e.to_string())?;
     let machine = engine.machine().clone();
-    let meta = drive(args, &mut engine, input)?;
-    let count = write_ids(args, out, &engine.take_results())?;
+    let (count, meta) = drive_and_print(args, &mut engine, input, out, |e, s| {
+        s.lines(e.take_results())
+    })?;
     report_stats(args, "twig", engine.stats(), engine.machine_size(), &meta);
     let trace_path = args.trace.as_deref().expect("checked by caller");
     let tracer = engine.into_observer();
@@ -225,17 +262,18 @@ fn run_traced(
 fn run_streaming<E: StreamEngine + Send>(
     args: &Args,
     name: &str,
-    mut engine: E,
+    engine: E,
     attr: Option<String>,
     input: &mut (dyn Read + Send),
-    out: &mut dyn Write,
+    out: &RefCell<Sink<'_>>,
 ) -> Result<u64, String> {
     match args.output {
         OutputMode::Values => {
             let attr = attr.expect("validated in run_single");
             let mut collector = AttrCollector::new(engine, attr);
-            let meta = drive(args, &mut collector, input)?;
-            let count = write_texts(out, &collector.take_values())?;
+            let (count, meta) = drive_and_print(args, &mut collector, input, out, |c, s| {
+                s.lines(c.take_values().into_iter().map(|(_, value)| value))
+            })?;
             report_stats(
                 args,
                 name,
@@ -247,8 +285,9 @@ fn run_streaming<E: StreamEngine + Send>(
         }
         OutputMode::Fragments => {
             let mut collector = FragmentCollector::new(engine);
-            let meta = drive(args, &mut collector, input)?;
-            let count = write_texts(out, &collector.take_fragments())?;
+            let (count, meta) = drive_and_print(args, &mut collector, input, out, |c, s| {
+                s.lines(c.take_fragments().into_iter().map(|(_, fragment)| fragment))
+            })?;
             report_stats(
                 args,
                 name,
@@ -259,8 +298,10 @@ fn run_streaming<E: StreamEngine + Send>(
             Ok(count)
         }
         OutputMode::Ids | OutputMode::Count => {
-            let meta = drive(args, &mut engine, input)?;
-            let count = write_ids(args, out, &engine.take_results())?;
+            let mut engine = engine;
+            let (count, meta) = drive_and_print(args, &mut engine, input, out, |e, s| {
+                s.lines(e.take_results())
+            })?;
             report_stats(args, name, engine.stats(), engine.machine_size(), &meta);
             Ok(count)
         }
@@ -271,7 +312,7 @@ fn run_dom(
     args: &Args,
     query: &Path,
     input: &mut (dyn Read + Send),
-    out: &mut dyn Write,
+    out: &RefCell<Sink<'_>>,
 ) -> Result<u64, String> {
     if matches!(args.stats, StatsMode::Json | StatsMode::Pretty) {
         return Err("--stats=json/pretty report streaming-engine counters; \
@@ -288,7 +329,7 @@ fn run_dom(
             return Err("--fragments is not supported with --engine dom".into())
         }
         OutputMode::Values => return Err("--values is not supported with --engine dom".into()),
-        OutputMode::Ids | OutputMode::Count => write_ids(args, out, &ids)?,
+        OutputMode::Ids | OutputMode::Count => print_ids(args, out, ids),
     };
     if args.stats != StatsMode::Off {
         eprintln!(
@@ -301,11 +342,11 @@ fn run_dom(
 }
 
 /// Runs several standing queries via [`MultiTwigM`]; output lines are
-/// `Q<i><TAB><node id>` in decision order.
+/// `Q<i><TAB><node id>`, or `Q<i>` with `--filter`, in decision order.
 pub fn run_multi(
     args: &Args,
     input: &mut (dyn Read + Send),
-    out: &mut dyn Write,
+    out: &RefCell<Sink<'_>>,
 ) -> Result<u64, String> {
     if args.engine != EngineChoice::Twig {
         return Err("multiple queries run on the TwigM engine only".into());
@@ -318,23 +359,24 @@ pub fn run_multi(
         let query = parse_query(q)?;
         engine.add_query(&query).map_err(|e| e.to_string())?;
     }
-    let meta = drive(args, &mut engine, input)?;
-    let results = engine.take_tagged_results();
-    let count = results.len() as u64;
-    let io_err = |e: std::io::Error| e.to_string();
-    match args.output {
-        OutputMode::Count => writeln!(out, "{count}").map_err(io_err)?,
-        _ if args.filter => {
-            for r in results {
-                writeln!(out, "Q{}", r.query).map_err(io_err)?;
+    let print: fn(&mut MultiTwigM, &mut Sink<'_>) -> u64 = if args.filter {
+        |m, s| {
+            let results = m.take_tagged_results();
+            for r in &results {
+                s.line(format_args!("Q{}", r.query));
             }
+            results.len() as u64
         }
-        _ => {
-            for r in results {
-                writeln!(out, "Q{}\t{}", r.query, r.node).map_err(io_err)?;
+    } else {
+        |m, s| {
+            let results = m.take_tagged_results();
+            for r in &results {
+                s.line(format_args!("Q{}\t{}", r.query, r.node));
             }
+            results.len() as u64
         }
-    }
+    };
+    let (count, meta) = drive_and_print(args, &mut engine, input, out, print)?;
     report_stats(
         args,
         "multi",
@@ -405,11 +447,13 @@ mod tests {
             .unwrap();
         let mut input = xml.as_bytes();
         let mut out = Vec::new();
-        let count = if args.queries.len() > 1 {
-            run_multi(&args, &mut input, &mut out).unwrap()
+        let sink = RefCell::new(Sink::new(&mut out));
+        let count = if args.queries.len() > 1 || args.filter {
+            run_multi(&args, &mut input, &sink).unwrap()
         } else {
-            run_single(&args, &mut input, &mut out).unwrap()
+            run_single(&args, &mut input, &sink).unwrap()
         };
+        sink.into_inner().finish().unwrap();
         (String::from_utf8(out).unwrap(), count)
     }
 
@@ -497,7 +541,7 @@ mod tests {
             .unwrap();
         let mut input = &b"<r/>"[..];
         let mut out = Vec::new();
-        let err = run_single(&args, &mut input, &mut out).unwrap_err();
+        let err = run_single(&args, &mut input, &RefCell::new(Sink::new(&mut out))).unwrap_err();
         assert!(err.contains("predicate-free"));
     }
 
@@ -512,7 +556,7 @@ mod tests {
         .unwrap();
         let mut input = &b"<r/>"[..];
         let mut out = Vec::new();
-        let err = run_single(&args, &mut input, &mut out).unwrap_err();
+        let err = run_single(&args, &mut input, &RefCell::new(Sink::new(&mut out))).unwrap_err();
         assert!(err.contains("union"), "{err}");
 
         let args = Args::parse(
@@ -524,7 +568,7 @@ mod tests {
         .unwrap();
         let mut input = &b"<r/>"[..];
         let mut out = Vec::new();
-        let err = run_single(&args, &mut input, &mut out).unwrap_err();
+        let err = run_single(&args, &mut input, &RefCell::new(Sink::new(&mut out))).unwrap_err();
         assert!(err.contains("dom"), "{err}");
     }
 
@@ -574,7 +618,7 @@ mod tests {
             .unwrap();
         let mut input = &b"<r><a/><boom/><a/></r>"[..];
         let mut engine = PanicsOnBoom(EngineStats::default());
-        let err = drive(&args, &mut engine, &mut input).err();
+        let err = drive(&args, &mut engine, &mut input, None).err();
         let err = err.expect("the panic must surface as an error");
         assert!(err.contains("pipeline consumer thread panicked"), "{err}");
         assert!(err.contains("test double met <boom>"), "{err}");
@@ -622,7 +666,7 @@ mod tests {
         let mut out = Vec::new();
         // Stats land on stderr (not captured here); this exercises the
         // pipelined drive + report path end to end without panicking.
-        let count = run_single(&args, &mut input, &mut out).unwrap();
+        let count = run_single(&args, &mut input, &RefCell::new(Sink::new(&mut out))).unwrap();
         assert_eq!(count, 1);
         assert_eq!(String::from_utf8(out).unwrap(), "1\n");
     }
@@ -634,7 +678,7 @@ mod tests {
             .unwrap();
         let mut input = &b"<r><a>"[..];
         let mut out = Vec::new();
-        assert!(run_single(&args, &mut input, &mut out).is_err());
+        assert!(run_single(&args, &mut input, &RefCell::new(Sink::new(&mut out))).is_err());
     }
 
     #[test]
@@ -644,7 +688,7 @@ mod tests {
             .unwrap();
         let mut input = &b"<r/>"[..];
         let mut out = Vec::new();
-        assert!(run_single(&args, &mut input, &mut out).is_err());
+        assert!(run_single(&args, &mut input, &RefCell::new(Sink::new(&mut out))).is_err());
     }
 
     #[test]
@@ -654,6 +698,139 @@ mod tests {
             .unwrap();
         let mut input = &b"<r>"[..];
         let mut out = Vec::new();
-        assert!(run_single(&args, &mut input, &mut out).is_err());
+        assert!(run_single(&args, &mut input, &RefCell::new(Sink::new(&mut out))).is_err());
+    }
+
+    /// Hands out at most `step` bytes per read.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// One generated document and two generated queries (the second only
+    /// for `-q`/`--filter`), as query texts that parse back.
+    fn corpus_case(seed: u64) -> (Vec<u8>, Path, Path) {
+        use twigm_datagen::SplitMix64;
+        use twigm_testkit::{querygen, xmlgen};
+        let mut rng = SplitMix64::seed_from_u64(seed);
+        let xml = xmlgen::generate_doc(&mut rng, &xmlgen::DocConfig::default());
+        let mut query = || loop {
+            let q = querygen::generate_query(&mut rng, &querygen::QueryConfig::default());
+            if let Ok(q) = parse_query(&q.to_string()) {
+                return q;
+            }
+        };
+        (xml, query(), query())
+    }
+
+    /// The lines printing `items` makes, and how many items there are.
+    fn lines<T: std::fmt::Display>(items: impl IntoIterator<Item = T>) -> (String, u64) {
+        let mut n = 0;
+        let text = items.into_iter().map(|item| {
+            n += 1;
+            format!("{item}\n")
+        });
+        (text.collect(), n)
+    }
+
+    /// What the engine of `mode` prints when it is drained once, after
+    /// the whole document, and its result count; `None` when a query
+    /// does not compile.
+    fn drained_at_eof(mode: &str, xml: &[u8], q: &Path, q2: &Path) -> Option<(String, u64)> {
+        use twigm::engine::run_engine;
+        let multi = |filter: bool| {
+            let mut engine = MultiTwigM::new();
+            if filter {
+                engine = engine.filter_mode();
+            }
+            engine.add_query(q).ok()?;
+            engine.add_query(q2).ok()?;
+            Some(
+                engine
+                    .run(xml)
+                    .expect("generated documents are well-formed"),
+            )
+        };
+        let out = match mode {
+            "--ids" => lines(run_engine(Engine::new(q).ok()?, xml).ok()?.0),
+            "-q" => lines(
+                multi(false)?
+                    .iter()
+                    .map(|r| format!("Q{}\t{}", r.query, r.node)),
+            ),
+            "--filter" => lines(multi(true)?.iter().map(|r| format!("Q{}", r.query))),
+            "--values" => {
+                let attr = q.attr.clone()?;
+                let collector = AttrCollector::new(Engine::new(q).ok()?, attr);
+                let (_, mut collector) = run_engine(collector, xml).ok()?;
+                lines(collector.take_values().into_iter().map(|(_, v)| v))
+            }
+            "--fragments" => {
+                let collector = FragmentCollector::new(Engine::new(q).ok()?);
+                let (_, mut collector) = run_engine(collector, xml).ok()?;
+                lines(collector.take_fragments().into_iter().map(|(_, f)| f))
+            }
+            _ => unreachable!("{mode}"),
+        };
+        Some(out)
+    }
+
+    /// Streamed output is the EOF-drained output, line for line, however
+    /// the input is split into reads.
+    #[test]
+    fn streamed_output_equals_eof_output_at_every_read_split() {
+        let (mut compared, mut with_results) = (0, 0);
+        for seed in 0..120 {
+            let (xml, q, q2) = corpus_case(seed);
+            for mode in ["--ids", "-q", "--filter", "--values", "--fragments"] {
+                let mut q = q.clone();
+                if mode == "--values" {
+                    q.attr.get_or_insert_with(|| "id".to_string());
+                }
+                let Some((expected, expected_count)) = drained_at_eof(mode, &xml, &q, &q2) else {
+                    continue;
+                };
+                let (q_text, q2_text) = (q.to_string(), q2.to_string());
+                let argv = match mode {
+                    "-q" => vec!["-q", &q_text, "-q", &q2_text],
+                    "--filter" => vec![mode, "-q", &q_text, "-q", &q2_text],
+                    _ => vec![mode, &q_text],
+                };
+                let args = Args::parse(argv.into_iter().map(String::from))
+                    .unwrap()
+                    .unwrap();
+                for step in [1, 7, 64, 4096] {
+                    let mut out = Vec::new();
+                    let sink = RefCell::new(Sink::new(&mut out));
+                    let mut input = Trickle { data: &xml, step };
+                    let count = if args.queries.len() > 1 || args.filter {
+                        run_multi(&args, &mut input, &sink)
+                    } else {
+                        run_single(&args, &mut input, &sink)
+                    };
+                    let count = count.unwrap_or_else(|e| panic!("seed {seed} {mode}: {e}"));
+                    sink.into_inner().finish().unwrap();
+                    let out = String::from_utf8(out).unwrap();
+                    assert_eq!(
+                        out, expected,
+                        "seed {seed} {mode} {q} {q2}, {step}-byte reads"
+                    );
+                    assert_eq!(count, expected_count, "seed {seed} {mode}");
+                    compared += 1;
+                    with_results += (count > 0) as u32;
+                }
+            }
+        }
+        assert!(compared >= 2000, "only {compared} runs compared");
+        assert!(with_results >= 200, "only {with_results} runs had results");
     }
 }

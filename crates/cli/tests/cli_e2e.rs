@@ -358,16 +358,19 @@ fn invalid_utf8_in_pi_data_and_the_declaration_exits_two() {
     }
 }
 
+/// The error is the same in every mode. A serial run has already
+/// printed `//r`'s root, decided at its start tag before the bad
+/// reference; `--threads` prints nothing before an error.
 #[test]
 fn character_references_must_name_xml_chars() {
-    for (xml, query) in [
-        (&b"<r>&#0;</r>"[..], "//r"),
-        (br#"<r><x a="&#1;"/><y/></r>"#, "//y"),
+    for (xml, query, serial_out) in [
+        (&b"<r>&#0;</r>"[..], "//r", "0\n"),
+        (br#"<r><x a="&#1;"/><y/></r>"#, "//y", ""),
     ] {
-        for threads in ["1", "2"] {
+        for (threads, expected_out) in [("1", serial_out), ("2", "")] {
             let (out, err, code) = run_with_stdin(&["--threads", threads, query], xml);
             assert_eq!(code, 2, "{err}");
-            assert_eq!(out, "");
+            assert_eq!(out, expected_out, "--threads {threads}");
             assert!(err.contains("invalid character reference"), "{err}");
         }
     }
@@ -405,4 +408,185 @@ fn multi_query_runs_report_progress_and_telemetry() {
             "missing {needle} in {json_line}"
         );
     }
+}
+
+/// A running `twigm` with its stdin open and its stdout lines arriving
+/// on a channel, so a test can wait for a line with a timeout.
+struct Streaming {
+    child: std::process::Child,
+    stdin: Option<std::process::ChildStdin>,
+    lines: std::sync::mpsc::Receiver<String>,
+    reader: std::thread::JoinHandle<()>,
+}
+
+impl Streaming {
+    fn spawn(args: &[&str]) -> Streaming {
+        use std::io::BufRead;
+        let mut child = twigm()
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn twigm");
+        let stdin = child.stdin.take();
+        let stdout = child.stdout.take().expect("stdout piped");
+        let (tx, lines) = std::sync::mpsc::channel();
+        let reader = std::thread::spawn(move || {
+            for line in std::io::BufReader::new(stdout).lines() {
+                if tx.send(line.expect("utf8 stdout")).is_err() {
+                    break;
+                }
+            }
+        });
+        Streaming {
+            child,
+            stdin,
+            lines,
+            reader,
+        }
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let stdin = self.stdin.as_mut().expect("stdin still open");
+        stdin.write_all(bytes).expect("write stdin");
+        stdin.flush().expect("flush stdin");
+    }
+
+    fn next_line(&self, timeout: std::time::Duration) -> Option<String> {
+        self.lines.recv_timeout(timeout).ok()
+    }
+
+    /// Writes `rest`, closes stdin and returns the lines not yet
+    /// received, stderr and the exit code.
+    fn finish(mut self, rest: &[u8]) -> (Vec<String>, String, i32) {
+        use std::io::Read;
+        self.write(rest);
+        drop(self.stdin.take());
+        let status = self.child.wait().expect("twigm runs");
+        let mut err = String::new();
+        let mut stderr = self.child.stderr.take().expect("stderr piped");
+        stderr.read_to_string(&mut err).expect("utf8 stderr");
+        let rest = self.lines.iter().collect();
+        self.reader.join().expect("stdout reader thread");
+        (rest, err, status.code().unwrap_or(-1))
+    }
+}
+
+const STREAM_PREFIX: &[u8] = br#"<r><a k="1"><b/></a>"#;
+const STREAM_REST: &[u8] = br#"<a k="2"/><b/></r>"#;
+
+/// Every serial mode whose output is in decision order prints a result
+/// as soon as it is decided: the first line arrives while stdin is still
+/// open, and the whole output is what the run over the complete document
+/// prints.
+#[test]
+fn results_leave_before_end_of_input() {
+    let doc = [STREAM_PREFIX, STREAM_REST].concat();
+    let modes: [&[&str]; 4] = [
+        &["//a"],
+        &["-q", "//a", "-q", "//b"],
+        &["--values", "//a/@k"],
+        &["--fragments", "//a[b]"],
+    ];
+    for args in modes {
+        let (whole, _, code) = run_with_stdin(args, &doc);
+        assert_eq!(code, 0, "{args:?}");
+        let mut run = Streaming::spawn(args);
+        run.write(STREAM_PREFIX);
+        let first = run.next_line(std::time::Duration::from_secs(20));
+        let first = first.unwrap_or_else(|| panic!("{args:?}: no line before end of input"));
+        let (rest, err, code) = run.finish(STREAM_REST);
+        assert_eq!((code, err.as_str()), (0, ""), "{args:?}");
+        let mut lines = vec![first];
+        lines.extend(rest);
+        assert_eq!(lines.join("\n") + "\n", whole, "{args:?}");
+    }
+}
+
+/// `-c`, a `|` union (document order, deduplicated) and `--threads` keep
+/// printing after end of input, with the same bytes as ever.
+#[test]
+fn count_unions_and_threads_print_after_end_of_input() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["-c", "//a"], "2\n"),
+        (&["//a | //b"], "1\n2\n3\n4\n"),
+        (&["--threads", "2", "//a"], "1\n3\n"),
+    ];
+    for (args, expected) in cases {
+        let mut run = Streaming::spawn(args);
+        run.write(STREAM_PREFIX);
+        let early = run.next_line(std::time::Duration::from_millis(300));
+        assert_eq!(early, None, "{args:?} printed before end of input");
+        let (lines, err, code) = run.finish(STREAM_REST);
+        assert_eq!((code, err.as_str()), (0, ""), "{args:?}");
+        assert_eq!(lines.join("\n") + "\n", expected, "{args:?}");
+    }
+}
+
+/// A serial streaming run keeps the lines it wrote before an error, then
+/// reports the error as before; `--threads` prints nothing before one.
+#[test]
+fn results_decided_before_an_error_stay_printed() {
+    let xml = b"<r><a/><a>";
+    let cases: [(&[&str], &str); 3] = [
+        (&["//a"], "1\n2\n"),
+        (&["-q", "//a", "-q", "//b"], "Q0\t1\n"),
+        (&["--threads", "2", "//a"], ""),
+    ];
+    for (args, expected) in cases {
+        let (out, err, code) = run_with_stdin(args, xml);
+        assert_eq!(code, 2, "{args:?}");
+        assert_eq!(out, expected, "{args:?}");
+        assert_eq!(
+            err, "twigm: unexpected end of stream: <a> is still open\n",
+            "{args:?}"
+        );
+    }
+}
+
+/// `twigm //x big.xml | head -1`: once the reader of stdout has gone,
+/// the run stops at its next flush, without reading the rest of its
+/// input, and exits 0 with nothing on stderr.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    use std::io::BufRead;
+    const CHUNK: usize = 64 * 1024;
+    const CHUNKS: usize = 256; // 16 MiB of input in all
+    let mut child = twigm()
+        .arg("//x")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn twigm");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let writer = std::thread::spawn(move || {
+        let chunk = "<x/>".repeat(CHUNK / 4);
+        let mut written = 0;
+        if stdin.write_all(b"<r>").is_err() {
+            return written;
+        }
+        for _ in 0..CHUNKS {
+            if stdin.write_all(chunk.as_bytes()).is_err() {
+                return written;
+            }
+            written += CHUNK;
+        }
+        let _ = stdin.write_all(b"</r>");
+        written
+    });
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("stdout piped"));
+    let mut line = String::new();
+    stdout.read_line(&mut line).expect("read one line");
+    assert_eq!(line, "1\n");
+    drop(stdout);
+    let output = child.wait_with_output().expect("twigm runs");
+    let written = writer.join().expect("writer thread");
+    assert_eq!(output.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&output.stderr), "");
+    assert!(
+        written < CHUNK * CHUNKS,
+        "twigm read all {written} bytes of its input after stdout closed"
+    );
 }

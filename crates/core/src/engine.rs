@@ -246,6 +246,37 @@ impl<E: ?Sized> DriveHook<E> for () {
     }
 }
 
+impl<E: ?Sized, H: DriveHook<E> + ?Sized> DriveHook<E> for &mut H {
+    const ENABLED: bool = H::ENABLED;
+    fn after_event(&mut self, engine: &mut E, start_level: u32, bytes: u64) -> ControlFlow<()> {
+        (**self).after_event(engine, start_level, bytes)
+    }
+}
+
+/// Two hooks on the one loop, for example [`Telemetry`] and a hook that
+/// prints results as they are decided. Both see every event, in order;
+/// the run ends after an event that either breaks on.
+impl<E: ?Sized, A: DriveHook<E>, B: DriveHook<E>> DriveHook<E> for (A, B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+    fn after_event(&mut self, engine: &mut E, start_level: u32, bytes: u64) -> ControlFlow<()> {
+        let a = if A::ENABLED {
+            self.0.after_event(engine, start_level, bytes)
+        } else {
+            ControlFlow::Continue(())
+        };
+        let b = if B::ENABLED {
+            self.1.after_event(engine, start_level, bytes)
+        } else {
+            ControlFlow::Continue(())
+        };
+        if a.is_break() || b.is_break() {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    }
+}
+
 /// The telemetry hook: accounts [`StreamTelemetry`], and when `every` is
 /// non-zero hands `progress` a sample after every `every` events.
 /// Result arrival is seen through the engine's `stats().results`

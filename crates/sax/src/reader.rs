@@ -413,8 +413,14 @@ impl<R: Read> Scanner<R> {
         if self.buf[self.pos] != b'<' {
             return self.scan_text();
         }
-        // Enough lookahead to classify `<![CDATA[`.
-        self.ensure(9)?;
+        // The byte after `<` classifies every markup item but the `<!`
+        // ones, which need enough lookahead to tell `<![CDATA[`. Asking
+        // for no more keeps a tag at the end of a read from waiting for
+        // the next one (a result it decides would wait with it).
+        self.ensure(2)?;
+        if self.buf.get(self.pos + 1) == Some(&b'!') {
+            self.ensure(9)?;
+        }
         let rest = &self.buf[self.pos..];
         if rest.len() >= 2 && rest[1] == b'/' {
             self.scan_end_tag()
@@ -1615,6 +1621,32 @@ mod feed_tests {
             })
             .collect();
         assert_eq!(text, "one]]two");
+    }
+
+    /// A tag that ends the bytes read so far is an event before any more
+    /// arrive; only `<!` waits for the lookahead that tells `<![CDATA[`.
+    #[test]
+    fn a_tag_ending_the_input_so_far_is_not_held_back() {
+        let tags = |out: &[OwnedEvent]| -> Vec<String> {
+            out.iter()
+                .filter_map(|e| match e {
+                    OwnedEvent::Start { name, .. } => Some(format!("<{name}>")),
+                    OwnedEvent::End { name, .. } => Some(format!("</{name}>")),
+                    _ => None,
+                })
+                .collect()
+        };
+        for (fed, expected) in [
+            (&b"<r><a/>"[..], &["<r>", "<a>", "</a>"][..]),
+            (b"<r><a></a>", &["<r>", "<a>", "</a>"]),
+            (b"<r><a></a><!", &["<r>", "<a>", "</a>"]),
+        ] {
+            let mut parser = FeedReader::new();
+            let mut out = Vec::new();
+            parser.feed(fed);
+            assert!(!drain(&mut parser, &mut out));
+            assert_eq!(tags(&out), expected, "{}", String::from_utf8_lossy(fed));
+        }
     }
 
     #[test]

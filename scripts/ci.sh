@@ -95,6 +95,19 @@ if [ "$OBS_SMOKE" != 0 ]; then
         --scale "${OBS_SMOKE_SCALE:-0.05}" --repeats 9
 fi
 
+# Stream smoke: a result leaves the process as soon as it is decided.
+# The document stays open for two more seconds after `<r><a/>`, and the
+# standing query's line must reach a one-second read before that.
+echo "==> stream smoke: results leave before end of input"
+cargo build --release -p twigm-cli
+first="$( (printf '<r><a/>'; sleep 2; printf '</r>') \
+    | target/release/twigm -q //a -q //b \
+    | { IFS= read -r -t 1 line && printf '%s' "$line"; } )" || true
+if [ "$first" != "$(printf 'Q0\t1')" ]; then
+    echo "stream smoke: no result line within 1 s of its deciding bytes" >&2
+    exit 1
+fi
+
 # Scanner smoke: the SWAR/SSE2 scan paths must agree with the scalar
 # reference on real Figure-5 data (the ablation asserts this before
 # timing) and hold their perf claim (text+terminator microbench >= 2x,
