@@ -335,23 +335,25 @@ fn attribute_entities_are_checked_whatever_the_query_mentions() {
 
 /// Bytes the reader never turns into an event (a processing
 /// instruction's data, the XML declaration) are still checked for UTF-8,
-/// and every mode reports the bad byte instead of panicking.
+/// and every mode reports the bad byte instead of panicking. A `-q` run
+/// keeps what it decided before the bad byte: `<r>` is decided at its
+/// start tag, as `twigm //r` prints `0`.
 #[test]
 fn invalid_utf8_in_pi_data_and_the_declaration_exits_two() {
-    for (xml, offset) in [
-        (&b"<r><?pi \xff?></r>"[..], 8),
-        (b"<?xml version=\"1.0\" encoding=\"\xff\"?><r/>", 30),
+    for (xml, offset, multi_out) in [
+        (&b"<r><?pi \xff?></r>"[..], 8, "Q0\t0\n"),
+        (b"<?xml version=\"1.0\" encoding=\"\xff\"?><r/>", 30, ""),
     ] {
-        let invocations: [&[&str]; 4] = [
-            &["--count", "//r"],
-            &["--engine", "dom", "--count", "//r"],
-            &["--threads", "2", "--count", "//r"],
-            &["-q", "//r", "-q", "//x"],
+        let invocations: [(&[&str], &str); 4] = [
+            (&["--count", "//r"], ""),
+            (&["--engine", "dom", "--count", "//r"], ""),
+            (&["--threads", "2", "--count", "//r"], ""),
+            (&["-q", "//r", "-q", "//x"], multi_out),
         ];
-        for args in invocations {
+        for (args, expected_out) in invocations {
             let (out, err, code) = run_with_stdin(args, xml);
             assert_eq!(code, 2, "{args:?}: {err}");
-            assert_eq!(out, "", "{args:?}");
+            assert_eq!(out, expected_out, "{args:?}");
             let expected = format!("invalid UTF-8 at byte {offset}");
             assert!(err.contains(&expected), "{args:?}: {err}");
         }
@@ -400,8 +402,8 @@ fn multi_query_runs_report_progress_and_telemetry() {
     for needle in [
         format!(r#""bytes":{}"#, xml.len()),
         r#""max_depth":3"#.to_string(),
-        // <r>, <a>, <b> — //b is decided at its start tag's close.
-        r#""first_result_event":4"#.to_string(),
+        // <r>, <a> — //a is decided at its start tag.
+        r#""first_result_event":2"#.to_string(),
     ] {
         assert!(
             json_line.contains(&needle),
@@ -483,9 +485,10 @@ const STREAM_REST: &[u8] = br#"<a k="2"/><b/></r>"#;
 #[test]
 fn results_leave_before_end_of_input() {
     let doc = [STREAM_PREFIX, STREAM_REST].concat();
-    let modes: [&[&str]; 4] = [
+    let modes: [&[&str]; 5] = [
         &["//a"],
         &["-q", "//a", "-q", "//b"],
+        &["-q", "/r/a", "-q", "//zz"],
         &["--values", "//a/@k"],
         &["--fragments", "//a[b]"],
     ];
@@ -531,7 +534,7 @@ fn results_decided_before_an_error_stay_printed() {
     let xml = b"<r><a/><a>";
     let cases: [(&[&str], &str); 3] = [
         (&["//a"], "1\n2\n"),
-        (&["-q", "//a", "-q", "//b"], "Q0\t1\n"),
+        (&["-q", "//a", "-q", "//b"], "Q0\t1\nQ0\t2\n"),
         (&["--threads", "2", "//a"], ""),
     ];
     for (args, expected) in cases {

@@ -154,6 +154,21 @@ pub struct MNode {
     pub spine_mask: u64,
     /// Is this the return node?
     pub is_sol: bool,
+    /// The slots `formula` needs when it is a conjunction of slots (or
+    /// `True`), the shape of most predicates: then [`MNode::holds`] is a
+    /// mask test, not a walk over the boxed formula tree.
+    conjunction: Option<u64>,
+}
+
+impl MNode {
+    /// Evaluates the node's predicate formula over a slot bitset.
+    #[inline]
+    pub(crate) fn holds(&self, slots: u64) -> bool {
+        match self.conjunction {
+            Some(mask) => slots & mask == mask,
+            None => self.formula.eval(slots),
+        }
+    }
 }
 
 /// A compiled TwigM machine.
@@ -347,6 +362,7 @@ impl Machine {
                 eager_safe: formula_is_monotone(&qnode.formula),
                 spine_mask,
                 is_sol: q == resolve_down(tree.sol),
+                conjunction: conjunction_mask(&qnode.formula),
             });
         }
         // 5. β: locate each node's Child/CountChild slot in its parent.
@@ -515,6 +531,17 @@ impl Machine {
         }
         out.push_str("}\n");
         out
+    }
+}
+
+/// The slots a formula made only of `And`, `Slot` and `True` requires;
+/// `None` for any other shape.
+fn conjunction_mask(f: &QFormula) -> Option<u64> {
+    match f {
+        QFormula::True => Some(0),
+        QFormula::Slot(i) => Some(1 << i),
+        QFormula::And(a, b) => Some(conjunction_mask(a)? | conjunction_mask(b)?),
+        QFormula::Not(_) | QFormula::Or(..) => None,
     }
 }
 
@@ -778,6 +805,23 @@ mod tests {
         assert!(geq.test(9));
         assert!(!geq.test(1));
         assert_eq!(exact.to_string(), "(=, 2)");
+    }
+
+    #[test]
+    fn holds_agrees_with_the_formula_tree() {
+        for q in [
+            "//a[b][@k]/c",
+            "//a[b or c]",
+            "//a[not(b)][c]",
+            "//a[b and (c or d)]",
+        ] {
+            let m = machine(q);
+            for node in &m.nodes {
+                for slots in 0..16u64 {
+                    assert_eq!(node.holds(slots), node.formula.eval(slots), "{q}");
+                }
+            }
+        }
     }
 
     #[test]

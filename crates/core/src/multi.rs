@@ -3,11 +3,12 @@
 //! The paper's related work (§6) distinguishes *query processors* (one
 //! query, return matching nodes — TwigM) from *filtering systems*
 //! (YFilter, XTrie, XPush: thousands of standing queries, report which
-//! match). [`MultiTwigM`] bridges the two: it runs any number of TwigM
-//! machines over a single event stream with a **shared dispatch index**,
-//! so an event touches only the machine nodes whose name test can match
-//! it, not every machine. Each result is tagged with the query that
-//! produced it.
+//! match). [`MultiTwigM`] bridges the two: it keeps one run of TwigM's
+//! transitions per registered query (the same code [`crate::TwigM`]
+//! runs, so a query decides each result at the same event either way)
+//! behind a **shared dispatch index**, so an event touches only the
+//! machine nodes whose name test can match it, not every machine. Each
+//! result is tagged with the query that produced it.
 //!
 //! Per-event cost is `O(candidates(tag) + wildcard nodes)` instead of
 //! `Σ|Qᵢ|`, which is what makes hundreds of standing queries practical —
@@ -17,11 +18,10 @@ use twigm_sax::{Attribute, NodeId, Symbol, SymbolTable};
 use twigm_xpath::Path;
 
 use crate::engine::StreamEngine;
-use crate::fxhash::FxHashSet;
-use crate::machine::{MNode, Machine, MachineError};
+use crate::machine::{Machine, MachineError};
 use crate::observe::{MachineObserver, NoopObserver};
-use crate::query::QCond;
 use crate::stats::EngineStats;
+use crate::twig::{Run, Shared};
 
 /// Encodes a `(query, machine node)` pair into the single `u32` the
 /// [`MachineObserver`] hooks carry: `query << 20 | node`. Machines stay
@@ -38,16 +38,6 @@ pub fn decode_obs_node(enc: u32) -> (QueryId, usize) {
     ((enc >> 20) as QueryId, (enc & 0xF_FFFF) as usize)
 }
 
-/// A stack entry, as in [`crate::TwigM`].
-#[derive(Debug, Clone)]
-struct Entry {
-    level: u32,
-    slots: u64,
-    candidates: Vec<u64>,
-    text: String,
-    counts: Vec<u32>,
-}
-
 /// Identifies one registered query.
 pub type QueryId = usize;
 
@@ -58,15 +48,6 @@ pub struct TaggedResult {
     pub query: QueryId,
     /// The matching element.
     pub node: NodeId,
-}
-
-/// One registered query's runtime state.
-struct QueryState {
-    machine: Machine,
-    stacks: Vec<Vec<Entry>>,
-    emitted: FxHashSet<u64>,
-    /// Sibling counters for positional predicates (node -> by parent level).
-    pos_counts: Vec<Vec<u32>>,
 }
 
 /// A multi-query streaming engine.
@@ -86,31 +67,25 @@ struct QueryState {
 /// assert!(results.iter().any(|r| r.query == audits));
 /// ```
 pub struct MultiTwigM<O: MachineObserver = NoopObserver> {
-    queries: Vec<QueryState>,
+    /// One run of the machine per registered query, indexed by its id.
+    runs: Vec<Run>,
     /// The symbol space shared by every registered machine.
     table: SymbolTable,
     /// Dense dispatch: symbol index → (query, machine node) pairs with
     /// that tag, across all registered queries.
-    by_sym: Vec<Vec<(usize, usize)>>,
+    by_sym: Vec<Vec<(QueryId, usize)>>,
     /// Per symbol index: some dispatched node tests attributes.
     attr_syms: Vec<bool>,
     /// Some wildcard node tests attributes.
     attr_wild: bool,
     /// (query, machine node) pairs labelled `*`.
-    wildcards: Vec<(usize, usize)>,
-    /// (query, machine node) pairs that accumulate text.
-    text_nodes: Vec<(usize, usize)>,
+    wildcards: Vec<(QueryId, usize)>,
+    /// Queries whose machines accumulate text.
+    text_queries: Vec<QueryId>,
+    /// Queries whose machines have positional predicates.
+    pos_queries: Vec<QueryId>,
     depth: u32,
-    results: Vec<TaggedResult>,
-    stats: EngineStats,
-    live_entries: u64,
-    /// Filtering mode: report at most one match per query per document
-    /// and stop evaluating a query once it has matched (YFilter-style
-    /// boolean filtering).
-    filter_mode: bool,
-    /// Per query: already matched within the current document.
-    matched: Vec<bool>,
-    observer: O,
+    shared: Shared<O>,
 }
 
 impl MultiTwigM {
@@ -133,31 +108,27 @@ impl<O: MachineObserver> MultiTwigM<O> {
     /// vocabulary.
     pub(crate) fn over_symbols(table: SymbolTable, observer: O) -> Self {
         MultiTwigM {
-            queries: Vec::new(),
+            runs: Vec::new(),
             table,
             by_sym: Vec::new(),
             attr_syms: Vec::new(),
             attr_wild: false,
             wildcards: Vec::new(),
-            text_nodes: Vec::new(),
+            text_queries: Vec::new(),
+            pos_queries: Vec::new(),
             depth: 0,
-            results: Vec::new(),
-            stats: EngineStats::default(),
-            live_entries: 0,
-            filter_mode: false,
-            matched: Vec::new(),
-            observer,
+            shared: Shared::new(observer),
         }
     }
 
     /// The attached observer.
     pub fn observer(&self) -> &O {
-        &self.observer
+        &self.shared.observer
     }
 
     /// Consumes the engine, returning the observer.
     pub fn into_observer(self) -> O {
-        self.observer
+        self.shared.observer
     }
 
     /// Switches the engine into *filtering* mode: each query reports at
@@ -166,7 +137,7 @@ impl<O: MachineObserver> MultiTwigM<O> {
     /// matching problem of the filtering systems in the paper's related
     /// work (§6), with early termination as the payoff.
     pub fn filter_mode(mut self) -> Self {
-        self.filter_mode = true;
+        self.shared.matched = Some(vec![false; self.runs.len()]);
         self
     }
 
@@ -180,7 +151,7 @@ impl<O: MachineObserver> MultiTwigM<O> {
             "queries must be registered between documents"
         );
         let machine = Machine::from_path_in(query, &mut self.table)?;
-        let qid = self.queries.len();
+        let qid = self.runs.len();
         // Grow the dense tables to the (append-only) shared symbol space.
         if self.by_sym.len() < self.table.len() {
             self.by_sym.resize(self.table.len(), Vec::new());
@@ -197,32 +168,30 @@ impl<O: MachineObserver> MultiTwigM<O> {
                     self.attr_wild |= !node.start_conds.is_empty();
                 }
             }
-            if node.needs_text {
-                self.text_nodes.push((qid, v));
-            }
         }
-        let stacks = vec![Vec::new(); machine.len()];
-        let pos_counts = vec![Vec::new(); machine.len()];
-        self.queries.push(QueryState {
-            machine,
-            stacks,
-            emitted: FxHashSet::default(),
-            pos_counts,
-        });
-        self.matched.push(false);
+        if !machine.text_nodes().is_empty() {
+            self.text_queries.push(qid);
+        }
+        if !machine.pos_nodes().is_empty() {
+            self.pos_queries.push(qid);
+        }
+        self.runs.push(Run::new(machine));
+        if let Some(m) = &mut self.shared.matched {
+            m.push(false);
+        }
         Ok(qid)
     }
 
     /// Number of registered queries.
     pub fn query_count(&self) -> usize {
-        self.queries.len()
+        self.runs.len()
     }
 
     /// Total machine-node count summed over every registered query — the
     /// |Q| of Theorem 4.4 for the multi-query machine: its aggregated
     /// `peak_entries` is bounded by this total times the recursion depth.
     pub fn machine_size(&self) -> usize {
-        self.queries.iter().map(|q| q.machine.len()).sum()
+        self.runs.iter().map(|r| r.machine().len()).sum()
     }
 
     /// The symbol space shared by every registered machine. Callers
@@ -244,12 +213,12 @@ impl<O: MachineObserver> MultiTwigM<O> {
 
     /// Work counters (aggregated over all queries).
     pub fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.shared.stats
     }
 
     /// Drains the tagged results decided so far.
     pub fn take_tagged_results(&mut self) -> Vec<TaggedResult> {
-        std::mem::take(&mut self.results)
+        std::mem::take(&mut self.shared.results)
     }
 
     /// Runs a complete document through the serial driver and returns
@@ -264,37 +233,17 @@ impl<O: MachineObserver> MultiTwigM<O> {
 
     /// Visits the dispatch list for a symbol: nodes tagged `sym`, then
     /// wildcard nodes. Borrows only the index fields, so callers can
-    /// mutate `queries`/`stats` while iterating.
+    /// mutate the runs while iterating.
     fn dispatch<'a>(
-        by_sym: &'a [Vec<(usize, usize)>],
-        wildcards: &'a [(usize, usize)],
+        by_sym: &'a [Vec<(QueryId, usize)>],
+        wildcards: &'a [(QueryId, usize)],
         sym: Symbol,
-    ) -> impl Iterator<Item = (usize, usize)> + 'a {
-        let tagged: &[(usize, usize)] = match sym.index() {
+    ) -> impl Iterator<Item = (QueryId, usize)> + 'a {
+        let tagged: &[(QueryId, usize)] = match sym.index() {
             Some(i) if i < by_sym.len() => &by_sym[i],
             _ => &[],
         };
         tagged.iter().copied().chain(wildcards.iter().copied())
-    }
-
-    fn initial_slots(node: &MNode, attrs: &[Attribute<'_>]) -> u64 {
-        let mut slots = 0u64;
-        for &i in &node.start_conds {
-            let ok = match &node.conditions[i] {
-                QCond::AttrExists(name) => attrs.iter().any(|a| a.name == name),
-                QCond::AttrCmp(name, op, lit) => attrs
-                    .iter()
-                    .any(|a| a.name == name && op.eval(&a.value, lit)),
-                QCond::AttrFn(name, func, arg) => attrs
-                    .iter()
-                    .any(|a| a.name == name && func.eval(&a.value, arg)),
-                _ => unreachable!("start_conds holds only attribute conditions"),
-            };
-            if ok {
-                slots |= 1 << i;
-            }
-        }
-        slots
     }
 
     /// δs, applied across all registered machines via the shared dense
@@ -306,91 +255,21 @@ impl<O: MachineObserver> MultiTwigM<O> {
         level: u32,
         id: NodeId,
     ) {
-        self.stats.start_events += 1;
+        let sh = &mut self.shared;
+        sh.begin_start(sym, level, id);
         self.depth = level;
-        if O::ENABLED {
-            self.observer.on_start_element(sym, level, id);
+        for &q in &self.pos_queries {
+            self.runs[q].reset_positions(level);
         }
-        // Reset child sibling scopes for positional predicates (the
-        // pos_nodes index is empty for non-positional queries, keeping
-        // this free on the common path).
-        for state in &mut self.queries {
-            for &v in state.machine.pos_nodes() {
-                let counts = &mut state.pos_counts[v];
-                if counts.len() <= level as usize {
-                    counts.resize(level as usize + 1, 0);
-                }
-                counts[level as usize] = 0;
+        for (q, v) in Self::dispatch(&self.by_sym, &self.wildcards, sym) {
+            if !sh.is_matched(q) {
+                self.runs[q].push(q, v, attrs, level, id, sh);
             }
         }
-        for (qid, v) in Self::dispatch(&self.by_sym, &self.wildcards, sym) {
-            if self.filter_mode && self.matched[qid] {
-                continue;
-            }
-            let state = &mut self.queries[qid];
-            // Dispatch guarantees the name matches: tag entries by
-            // construction, wildcard entries always.
-            let node = &state.machine.nodes[v];
-            let qualified = match node.parent {
-                None => {
-                    self.stats.qualification_probes += 1;
-                    node.edge.test(level as i64)
-                }
-                Some(p) => {
-                    let mut found = false;
-                    for e in state.stacks[p].iter().rev() {
-                        self.stats.qualification_probes += 1;
-                        if node.edge.test(level as i64 - e.level as i64) {
-                            found = true;
-                            break;
-                        }
-                    }
-                    found
-                }
-            };
-            if !qualified {
-                continue;
-            }
-            let mut slots = Self::initial_slots(node, attrs);
-            if !node.pos_conds.is_empty() {
-                let parent_level = level.saturating_sub(1) as usize;
-                let counts = &mut state.pos_counts[v];
-                if counts.len() <= parent_level {
-                    counts.resize(parent_level + 1, 0);
-                }
-                counts[parent_level] += 1;
-                let position = counts[parent_level];
-                for &(slot, n) in &node.pos_conds {
-                    if position == n {
-                        slots |= 1 << slot;
-                    }
-                }
-            }
-            let mut candidates = Vec::new();
-            if node.is_sol {
-                candidates.push(id.get());
-            }
-            state.stacks[v].push(Entry {
-                level,
-                slots,
-                candidates,
-                text: String::new(),
-                counts: vec![0; node.count_conds.len()],
-            });
-            self.stats.pushes += 1;
-            self.live_entries += 1;
-            if O::ENABLED {
-                self.observer
-                    .on_push(encode_obs_node(qid, v), level, node.is_sol);
-            }
-        }
-        self.stats.peak_entries = self.stats.peak_entries.max(self.live_entries);
-        if O::ENABLED {
-            self.observer.on_event_end(&self.stats);
-        }
+        sh.finish_event();
     }
 
-    /// Character data, routed through the shared text index.
+    /// Character data, routed to the queries that accumulate text.
     pub fn text(&mut self, text: &str) {
         self.text_at(text, self.depth)
     }
@@ -400,12 +279,8 @@ impl<O: MachineObserver> MultiTwigM<O> {
     /// depth can lag behind the document (skipped subtrees never update
     /// it).
     pub fn text_at(&mut self, text: &str, level: u32) {
-        for &(qid, v) in &self.text_nodes {
-            if let Some(top) = self.queries[qid].stacks[v].last_mut() {
-                if top.level == level {
-                    top.text.push_str(text);
-                }
-            }
+        for &q in &self.text_queries {
+            self.runs[q].text_at(text, level);
         }
     }
 
@@ -414,157 +289,33 @@ impl<O: MachineObserver> MultiTwigM<O> {
     /// from the shared dense dispatch index, so it stays exact as
     /// queries are added.
     pub fn relevance(&self) -> crate::relevance::Relevance {
-        let wants_text = !self.text_nodes.is_empty();
-        let any_positional = self
-            .queries
-            .iter()
-            .any(|q| !q.machine.pos_nodes().is_empty());
-        if !self.wildcards.is_empty() || any_positional {
-            return crate::relevance::Relevance {
-                symbols: None,
-                wants_text,
-            };
-        }
+        // Wildcards and sibling positions see every tag.
+        let every_tag = !self.wildcards.is_empty() || !self.pos_queries.is_empty();
         crate::relevance::Relevance {
-            symbols: Some(self.by_sym.iter().map(|nodes| !nodes.is_empty()).collect()),
-            wants_text,
+            symbols: (!every_tag).then(|| self.by_sym.iter().map(|n| !n.is_empty()).collect()),
+            wants_text: !self.text_queries.is_empty(),
         }
     }
 
     /// δe, applied across all registered machines via the shared dense
     /// index.
     pub fn end_element_sym(&mut self, sym: Symbol, level: u32) {
-        self.stats.end_events += 1;
+        let sh = &mut self.shared;
+        sh.begin_end(sym, level);
         self.depth = level.saturating_sub(1);
-        if O::ENABLED {
-            self.observer.on_end_element(sym, level);
-        }
-        for (qid, v) in Self::dispatch(&self.by_sym, &self.wildcards, sym) {
-            if self.filter_mode && self.matched[qid] {
-                // A matched filter query still needs its stacks unwound so
-                // the engine is clean for the next document; popping by
-                // level keeps that cheap.
-                let state = &mut self.queries[qid];
-                while state.stacks[v].last().is_some_and(|e| e.level == level) {
-                    state.stacks[v].pop();
-                    self.live_entries -= 1;
-                    self.stats.pops += 1;
-                    if O::ENABLED {
-                        // Discarded unevaluated: report as unsatisfied.
-                        self.observer.on_pop(encode_obs_node(qid, v), level, false);
-                    }
-                }
-                continue;
-            }
-            let state = &mut self.queries[qid];
-            let node = &state.machine.nodes[v];
-            let Some(top) = state.stacks[v].last() else {
-                continue;
-            };
-            if top.level != level {
-                continue;
-            }
-            let mut entry = state.stacks[v].pop().expect("checked non-empty");
-            self.stats.pops += 1;
-            self.live_entries -= 1;
-            for &i in &node.text_conds {
-                let ok = match &node.conditions[i] {
-                    QCond::TextExists => !entry.text.is_empty(),
-                    QCond::TextCmp(op, lit) => !entry.text.is_empty() && op.eval(&entry.text, lit),
-                    QCond::TextFn(func, arg) => {
-                        !entry.text.is_empty() && func.eval(&entry.text, arg)
-                    }
-                    _ => unreachable!("text_conds holds only text conditions"),
-                };
-                if ok {
-                    entry.slots |= 1 << i;
-                }
-            }
-            for &(cond, counter, op, n) in &node.count_conds {
-                if op.eval_f64(entry.counts[counter] as f64, n as f64) {
-                    entry.slots |= 1 << cond;
-                }
-            }
-            let satisfied = node.formula.eval(entry.slots);
-            if O::ENABLED {
-                self.observer
-                    .on_pop(encode_obs_node(qid, v), level, satisfied);
-            }
-            if !satisfied {
-                continue;
-            }
-            match node.parent {
-                None => {
-                    for id in entry.candidates {
-                        if self.filter_mode {
-                            if !self.matched[qid] {
-                                self.matched[qid] = true;
-                                self.results.push(TaggedResult {
-                                    query: qid,
-                                    node: NodeId::new(id),
-                                });
-                                self.stats.results += 1;
-                                if O::ENABLED {
-                                    self.observer.on_result(NodeId::new(id));
-                                }
-                            }
-                        } else if state.emitted.insert(id) {
-                            self.results.push(TaggedResult {
-                                query: qid,
-                                node: NodeId::new(id),
-                            });
-                            self.stats.results += 1;
-                            if O::ENABLED {
-                                self.observer.on_result(NodeId::new(id));
-                            }
-                        }
-                    }
-                }
-                Some(p) => {
-                    let slot_bit = 1u64 << node.parent_slot.expect("non-root has a slot");
-                    let parent_counter = node.parent_counter;
-                    let edge = node.edge;
-                    let emitted = &state.emitted;
-                    for e in state.stacks[p].iter_mut() {
-                        self.stats.upload_probes += 1;
-                        if !edge.test(level as i64 - e.level as i64) {
-                            continue;
-                        }
-                        match parent_counter {
-                            Some(ci) => e.counts[ci] += 1,
-                            None => e.slots |= slot_bit,
-                        }
-                        let mut inserted = 0u64;
-                        for &cand in &entry.candidates {
-                            if !emitted.contains(&cand) && !e.candidates.contains(&cand) {
-                                e.candidates.push(cand);
-                                self.stats.candidates_merged += 1;
-                                inserted += 1;
-                            }
-                        }
-                        if O::ENABLED {
-                            self.observer.on_upload(
-                                encode_obs_node(qid, v),
-                                encode_obs_node(qid, p),
-                                inserted,
-                            );
-                        }
-                    }
-                }
+        for (q, v) in Self::dispatch(&self.by_sym, &self.wildcards, sym) {
+            if sh.is_matched(q) {
+                // A matched filter query still needs its stacks unwound
+                // so the engine is clean for the next document.
+                self.runs[q].discard(q, v, level, sh);
+            } else {
+                self.runs[q].pop(q, v, level, sh);
             }
         }
-        if O::ENABLED {
-            self.observer.on_event_end(&self.stats);
-        }
+        sh.finish_event();
         if level == 1 {
-            for state in &mut self.queries {
-                debug_assert!(state.stacks.iter().all(Vec::is_empty));
-                state.emitted.clear();
-            }
-            self.matched.iter_mut().for_each(|m| *m = false);
-            if O::ENABLED {
-                self.observer.on_document_end();
-            }
+            self.runs.iter_mut().for_each(Run::end_document);
+            sh.end_document();
         }
     }
 }
@@ -622,15 +373,15 @@ impl<O: MachineObserver> StreamEngine for MultiTwigM<O> {
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {
-        self.results.drain(..).map(|r| r.node).collect()
+        self.shared.take_ids()
     }
 
     fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.shared.stats
     }
 
     fn machine_size(&self) -> Option<usize> {
-        Some(self.queries.iter().map(|q| q.machine.len()).sum())
+        Some(MultiTwigM::machine_size(self))
     }
 }
 

@@ -29,6 +29,12 @@
 //! **eagerly** — often at the match's start tag — instead of waiting for
 //! the machine root to pop (see `eager_deliver`'s internal docs and
 //! experiment E11).
+//!
+//! These transitions exist once, on `Run`: one query's machine, stacks,
+//! emitted set and positional counters. [`TwigM`] is one `Run`;
+//! [`crate::MultiTwigM`] is one `Run` per registered query behind a
+//! shared dispatch index. Both pass the same `Shared` part — counters,
+//! observer, live totals, decided results — into every transition.
 
 use twigm_sax::{Attribute, NodeId, Symbol, SymbolTable};
 use twigm_xpath::Path;
@@ -36,6 +42,7 @@ use twigm_xpath::Path;
 use crate::engine::StreamEngine;
 use crate::fxhash::FxHashSet;
 use crate::machine::{MNode, Machine, MachineError};
+use crate::multi::{encode_obs_node, QueryId, TaggedResult};
 use crate::observe::{MachineObserver, NoopObserver};
 use crate::query::QCond;
 use crate::stats::EngineStats;
@@ -59,32 +66,537 @@ struct Entry {
     counts: Vec<u32>,
 }
 
-/// The TwigM streaming engine.
-///
-/// The `O` parameter is a [`MachineObserver`] receiving every machine
-/// transition; the default [`NoopObserver`] compiles all hooks away, so
-/// `TwigM` (no parameter) is exactly the unobserved machine.
-pub struct TwigM<O: MachineObserver = NoopObserver> {
+/// What every query of an engine shares: the counters, the observer, the
+/// live totals behind the peak counters, the decided results and, in
+/// filter mode, which queries have matched in the current document.
+pub(crate) struct Shared<O> {
+    pub(crate) stats: EngineStats,
+    pub(crate) observer: O,
+    /// Live entry / candidate counts, summed over every query.
+    live_entries: u64,
+    live_candidates: u64,
+    pub(crate) results: Vec<TaggedResult>,
+    /// Filter mode only: per query, whether it has matched in the
+    /// current document (it then reports nothing more until the next).
+    pub(crate) matched: Option<Vec<bool>>,
+}
+
+impl<O: MachineObserver> Shared<O> {
+    pub(crate) fn new(observer: O) -> Self {
+        Shared {
+            stats: EngineStats::default(),
+            observer,
+            live_entries: 0,
+            live_candidates: 0,
+            results: Vec::new(),
+            matched: None,
+        }
+    }
+
+    /// Whether `q` has matched in this document under filter mode.
+    pub(crate) fn is_matched(&self, q: QueryId) -> bool {
+        self.matched.as_ref().is_some_and(|m| m[q])
+    }
+
+    /// Opens a δs transition.
+    pub(crate) fn begin_start(&mut self, sym: Symbol, level: u32, id: NodeId) {
+        self.stats.start_events += 1;
+        if O::ENABLED {
+            self.observer.on_start_element(sym, level, id);
+        }
+    }
+
+    /// Opens a δe transition.
+    pub(crate) fn begin_end(&mut self, sym: Symbol, level: u32) {
+        self.stats.end_events += 1;
+        if O::ENABLED {
+            self.observer.on_end_element(sym, level);
+        }
+    }
+
+    /// Closes a transition: folds the live totals into the peaks.
+    pub(crate) fn finish_event(&mut self) {
+        self.stats.peak_entries = self.stats.peak_entries.max(self.live_entries);
+        self.stats.peak_candidates = self.stats.peak_candidates.max(self.live_candidates);
+        if O::ENABLED {
+            self.observer.on_event_end(&self.stats);
+        }
+    }
+
+    /// The document root closed: nothing is active any more.
+    pub(crate) fn end_document(&mut self) {
+        self.live_candidates = 0;
+        if let Some(m) = &mut self.matched {
+            m.fill(false);
+        }
+        if O::ENABLED {
+            self.observer.on_document_end();
+        }
+    }
+
+    /// Reports a decided result of query `q`.
+    fn emit(&mut self, q: QueryId, id: NodeId) {
+        if let Some(m) = &mut self.matched {
+            if std::mem::replace(&mut m[q], true) {
+                return;
+            }
+        }
+        self.results.push(TaggedResult { query: q, node: id });
+        self.stats.results += 1;
+        if O::ENABLED {
+            self.observer.on_result(id);
+        }
+    }
+
+    /// Drains the decided results as bare node ids, in decision order.
+    pub(crate) fn take_ids(&mut self) -> Vec<NodeId> {
+        self.results.drain(..).map(|r| r.node).collect()
+    }
+}
+
+/// One query's run of the machine: its stacks, the ids it has emitted in
+/// the current document and its positional counters. Every transition
+/// takes the query's id `q` (for the observer's node ids and the tagged
+/// results) and the engine's [`Shared`] part.
+pub(crate) struct Run {
     machine: Machine,
     stacks: Vec<Vec<Entry>>,
-    /// Level of the innermost open element (for routing text events).
-    depth: u32,
     /// Ids already emitted in the current document.
     emitted: FxHashSet<u64>,
     /// Sibling counters for positional predicates: per positional node,
     /// indexed by the parent element's level.
     pos_counts: Vec<Vec<u32>>,
-    results: Vec<NodeId>,
-    stats: EngineStats,
-    /// Live entry / candidate counts for peak tracking.
-    live_entries: u64,
-    live_candidates: u64,
     /// The return node and each of its ancestors hold with nothing but
     /// their spine child (a predicate-free path). Then a qualifying push
     /// of the return node is already a decided result — PathM's rule
     /// (paper §3.1) — and skips the eager climb and the duplicate set.
     sol_decided_at_push: bool,
-    observer: O,
+    /// The level sets of `eager_deliver`'s climb, kept between deliveries
+    /// so that a delivery allocates nothing.
+    levels: Vec<u32>,
+    next_levels: Vec<u32>,
+}
+
+impl Run {
+    pub(crate) fn new(machine: Machine) -> Self {
+        let sol_decided_at_push =
+            std::iter::successors(Some(machine.sol), |&v| machine.nodes[v].parent).all(|v| {
+                let node = &machine.nodes[v];
+                node.eager_safe && node.holds(node.spine_mask)
+            });
+        Run {
+            stacks: vec![Vec::new(); machine.len()],
+            pos_counts: vec![Vec::new(); machine.len()],
+            machine,
+            emitted: FxHashSet::default(),
+            sol_decided_at_push,
+            levels: Vec::new(),
+            next_levels: Vec::new(),
+        }
+    }
+
+    pub(crate) fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// The `i`-th machine node a `sym` event reaches: the first `n_tag`
+    /// are the nodes tagged `sym`, the rest the wildcards.
+    fn dispatched(&self, sym: Symbol, n_tag: usize, i: usize) -> usize {
+        if i < n_tag {
+            self.machine.tag_nodes(sym)[i]
+        } else {
+            self.machine.wildcards()[i - n_tag]
+        }
+    }
+
+    /// Evaluates the start-tag conditions (attribute tests) of `node`.
+    fn initial_slots(node: &MNode, attrs: &[Attribute<'_>]) -> u64 {
+        let mut slots = 0u64;
+        for &i in &node.start_conds {
+            let satisfied = match &node.conditions[i] {
+                QCond::AttrExists(name) => attrs.iter().any(|a| a.name == name),
+                QCond::AttrCmp(name, op, lit) => attrs
+                    .iter()
+                    .any(|a| a.name == name && op.eval(&a.value, lit)),
+                QCond::AttrFn(name, func, arg) => attrs
+                    .iter()
+                    .any(|a| a.name == name && func.eval(&a.value, arg)),
+                _ => unreachable!("start_conds holds only attribute conditions"),
+            };
+            if satisfied {
+                slots |= 1 << i;
+            }
+        }
+        slots
+    }
+
+    /// Evaluates the end-tag conditions (text tests and `count()`
+    /// comparisons) of `node` against a popped entry.
+    fn apply_end_conds(node: &MNode, entry: &mut Entry) {
+        for &i in &node.text_conds {
+            let satisfied = match &node.conditions[i] {
+                QCond::TextExists => !entry.text.is_empty(),
+                // XPath comparisons over an empty node-set are false, so
+                // a text test requires text to exist, even for `!=`.
+                QCond::TextCmp(op, lit) => !entry.text.is_empty() && op.eval(&entry.text, lit),
+                QCond::TextFn(func, arg) => !entry.text.is_empty() && func.eval(&entry.text, arg),
+                _ => unreachable!("text_conds holds only text conditions"),
+            };
+            if satisfied {
+                entry.slots |= 1 << i;
+            }
+        }
+        for &(cond, counter, op, n) in &node.count_conds {
+            if op.eval_f64(entry.counts[counter] as f64, n as f64) {
+                entry.slots |= 1 << cond;
+            }
+        }
+    }
+
+    /// A start tag at `level` opens a fresh sibling scope for its
+    /// children: resets the positional counters keyed by its level.
+    pub(crate) fn reset_positions(&mut self, level: u32) {
+        for &v in self.machine.pos_nodes() {
+            let counts = &mut self.pos_counts[v];
+            if counts.len() <= level as usize {
+                counts.resize(level as usize + 1, 0);
+            }
+            counts[level as usize] = 0;
+        }
+    }
+
+    /// Routes character data to entries that accumulate text: the top
+    /// entry of a text-needing node, if it corresponds to the element at
+    /// `level`.
+    pub(crate) fn text_at(&mut self, text: &str, level: u32) {
+        for &v in self.machine.text_nodes() {
+            if let Some(top) = self.stacks[v].last_mut() {
+                if top.level == level {
+                    top.text.push_str(text);
+                }
+            }
+        }
+    }
+
+    /// The document root closed: every stack is empty, and ids may repeat
+    /// in the next document.
+    pub(crate) fn end_document(&mut self) {
+        debug_assert!(self.stacks.iter().all(Vec::is_empty));
+        self.emitted.clear();
+    }
+
+    /// The push of δs for machine node `v` (whose name test the caller
+    /// has matched). Returns whether the element became a solution
+    /// candidate.
+    #[inline]
+    pub(crate) fn push<O: MachineObserver>(
+        &mut self,
+        q: QueryId,
+        v: usize,
+        attrs: &[Attribute<'_>],
+        level: u32,
+        id: NodeId,
+        sh: &mut Shared<O>,
+    ) -> bool {
+        let node = &self.machine.nodes[v];
+        // The qualification probe (the machine root probes the virtual
+        // document root at level 0). It remembers the parent entry it
+        // found: over a child edge that is the only one that qualifies.
+        let mut probe = |parent_level: u32| {
+            sh.stats.qualification_probes += 1;
+            node.edge.test(level as i64 - parent_level as i64)
+        };
+        let found = match node.parent {
+            None => probe(0).then_some(None),
+            Some(p) => self.stacks[p]
+                .iter()
+                .rposition(|e| probe(e.level))
+                .map(Some),
+        };
+        let Some(parent_entry) = found else {
+            return false;
+        };
+        let mut slots = Self::initial_slots(node, attrs);
+        if !node.pos_conds.is_empty() {
+            // The element's 1-based position among qualifying siblings
+            // (its parent element sits one level up).
+            let parent_level = level.saturating_sub(1) as usize;
+            let counts = &mut self.pos_counts[v];
+            if counts.len() <= parent_level {
+                counts.resize(parent_level + 1, 0);
+            }
+            counts[parent_level] += 1;
+            let position = counts[parent_level];
+            for &(slot, n) in &node.pos_conds {
+                if position == n {
+                    slots |= 1 << slot;
+                }
+            }
+        }
+        let mut candidates = Vec::new();
+        let mut eager_sol = false;
+        let mut decided = false;
+        if node.is_sol {
+            if self.sol_decided_at_push {
+                decided = true;
+            } else if node.eager_safe && node.holds(slots) {
+                // The return node's own predicates already hold: deliver
+                // the candidate immediately instead of buffering it in
+                // the entry.
+                eager_sol = true;
+            } else {
+                candidates.push(id.get());
+                sh.live_candidates += 1;
+            }
+        }
+        self.stacks[v].push(Entry {
+            level,
+            slots,
+            candidates,
+            text: String::new(),
+            counts: vec![0; node.count_conds.len()],
+        });
+        let is_sol = node.is_sol;
+        if O::ENABLED {
+            sh.observer.on_push(encode_obs_node(q, v), level, is_sol);
+        }
+        if decided {
+            // A start tag's id is new, so it cannot be a duplicate.
+            sh.emit(q, id);
+        } else if eager_sol {
+            self.deliver_fresh(q, v, level, id.get(), parent_entry, sh);
+        }
+        sh.stats.pushes += 1;
+        sh.live_entries += 1;
+        is_sol
+    }
+
+    /// Eagerly delivers a candidate that `v`'s push at `level` just
+    /// created. Over a child edge the first hop goes straight to the
+    /// parent entry the qualification probe found instead of scanning
+    /// the parent stack again; the outcome is `eager_deliver`'s.
+    #[inline]
+    fn deliver_fresh<O: MachineObserver>(
+        &mut self,
+        q: QueryId,
+        v: usize,
+        level: u32,
+        id: u64,
+        parent_entry: Option<usize>,
+        sh: &mut Shared<O>,
+    ) {
+        let node = &self.machine.nodes[v];
+        let (Some(p), Some(i), true) = (node.parent, parent_entry, node.edge.exact) else {
+            return self.eager_deliver(q, v, level, &[id], sh);
+        };
+        let pnode = &self.machine.nodes[p];
+        let e = &mut self.stacks[p][i];
+        if pnode.eager_safe && pnode.holds(e.slots | pnode.spine_mask) {
+            let from_level = e.level;
+            self.eager_deliver(q, p, from_level, &[id], sh);
+        } else {
+            Self::merge_candidates(&mut e.candidates, &[id], &self.emitted, sh);
+        }
+    }
+
+    /// Eagerly delivers decided candidates upward from `from_node`'s
+    /// entry at `from_level`.
+    ///
+    /// A candidate whose chain of stack entries all have *monotone,
+    /// already-satisfied* formulas (with each hop's spine-child bit
+    /// assumed — the delivery itself proves that subtree matches) is a
+    /// decided solution and can be emitted the moment it is discovered,
+    /// restoring PathM-grade incrementality ("results should be
+    /// distributed … as soon as they are found", paper §1). Entries whose
+    /// formula is not yet satisfied buffer the candidates as usual; the
+    /// flush points in δs/δe release them when a later bit completes the
+    /// formula. The climb visits each machine node once with its set of
+    /// qualifying levels, so a delivery costs O(|Q|·R).
+    fn eager_deliver<O: MachineObserver>(
+        &mut self,
+        q: QueryId,
+        from_node: usize,
+        from_level: u32,
+        cands: &[u64],
+        sh: &mut Shared<O>,
+    ) {
+        let mut levels = std::mem::take(&mut self.levels);
+        let mut next_levels = std::mem::take(&mut self.next_levels);
+        levels.clear();
+        levels.push(from_level);
+        let mut node = from_node;
+        loop {
+            let Some(p) = self.machine.nodes[node].parent else {
+                // The machine root: the candidates are decided.
+                for &id in cands {
+                    if self.emitted.insert(id) {
+                        sh.emit(q, NodeId::new(id));
+                    }
+                }
+                break;
+            };
+            let edge = self.machine.nodes[node].edge;
+            let pnode = &self.machine.nodes[p];
+            next_levels.clear();
+            for e in self.stacks[p].iter_mut() {
+                if !levels.iter().any(|&l| edge.test(l as i64 - e.level as i64)) {
+                    continue;
+                }
+                if pnode.eager_safe && pnode.holds(e.slots | pnode.spine_mask) {
+                    next_levels.push(e.level);
+                } else {
+                    Self::merge_candidates(&mut e.candidates, cands, &self.emitted, sh);
+                }
+            }
+            if next_levels.is_empty() {
+                break;
+            }
+            next_levels.dedup();
+            node = p;
+            std::mem::swap(&mut levels, &mut next_levels);
+        }
+        self.levels = levels;
+        self.next_levels = next_levels;
+    }
+
+    /// Merges `src` (sorted) into `dst` (sorted), skipping already-emitted
+    /// ids, and accounts the ids inserted; returns how many there were.
+    fn merge_candidates<O>(
+        dst: &mut Vec<u64>,
+        src: &[u64],
+        emitted: &FxHashSet<u64>,
+        sh: &mut Shared<O>,
+    ) -> u64 {
+        let before = dst.len();
+        // Candidates arrive in roughly increasing id order, so an upload
+        // usually appends past the destination's tail.
+        let appends = match (dst.last(), src.first()) {
+            (Some(last), Some(first)) => first > last,
+            _ => true,
+        };
+        dst.extend(src.iter().filter(|id| !emitted.contains(id)));
+        if !appends {
+            // Two sorted runs: the stable sort merges them in one pass.
+            dst.sort();
+            dst.dedup();
+        }
+        let inserted = (dst.len() - before) as u64;
+        sh.stats.candidates_merged += inserted;
+        sh.live_candidates += inserted;
+        inserted
+    }
+
+    /// The pop of δe for machine node `v`: if its top entry sits at
+    /// `level` it pops, and a satisfied entry uploads to its parent or,
+    /// at the machine root, emits.
+    #[inline]
+    pub(crate) fn pop<O: MachineObserver>(
+        &mut self,
+        q: QueryId,
+        v: usize,
+        level: u32,
+        sh: &mut Shared<O>,
+    ) {
+        if self.stacks[v].last().map(|top| top.level) != Some(level) {
+            return;
+        }
+        let mut entry = self.stacks[v].pop().expect("checked non-empty");
+        let node = &self.machine.nodes[v];
+        sh.stats.pops += 1;
+        sh.live_entries -= 1;
+        sh.live_candidates -= entry.candidates.len() as u64;
+        Self::apply_end_conds(node, &mut entry);
+        let satisfied = node.holds(entry.slots);
+        if O::ENABLED {
+            sh.observer.on_pop(encode_obs_node(q, v), level, satisfied);
+        }
+        if !satisfied {
+            // Failed predicates: the entry and every pattern match it
+            // participates in are pruned, without enumeration.
+            return;
+        }
+        let Some(p) = node.parent else {
+            // Machine root: the candidates are decided solutions.
+            for id in entry.candidates {
+                if self.emitted.insert(id) {
+                    sh.emit(q, NodeId::new(id));
+                }
+            }
+            return;
+        };
+        let slot_bit = 1u64 << node.parent_slot.expect("non-root has a slot");
+        let edge = node.edge;
+        let parent_counter = node.parent_counter;
+        let pnode = &self.machine.nodes[p];
+        // Targets whose formula completed with this upload: their
+        // buffered candidates are decided and flush upward immediately.
+        let mut flush: Vec<(u32, Vec<u64>)> = Vec::new();
+        for e in self.stacks[p].iter_mut() {
+            sh.stats.upload_probes += 1;
+            if !edge.test(level as i64 - e.level as i64) {
+                continue;
+            }
+            match parent_counter {
+                // A counted child: increment instead of setting a bit
+                // (the bit is decided at the parent's pop by the
+                // comparison).
+                Some(ci) => e.counts[ci] += 1,
+                None => e.slots |= slot_bit,
+            }
+            let inserted =
+                Self::merge_candidates(&mut e.candidates, &entry.candidates, &self.emitted, sh);
+            if O::ENABLED {
+                sh.observer
+                    .on_upload(encode_obs_node(q, v), encode_obs_node(q, p), inserted);
+            }
+            if pnode.eager_safe
+                && !e.candidates.is_empty()
+                && pnode.holds(e.slots | pnode.spine_mask)
+            {
+                let cands = std::mem::take(&mut e.candidates);
+                sh.live_candidates -= cands.len() as u64;
+                flush.push((e.level, cands));
+            }
+        }
+        for (lvl, cands) in flush {
+            self.eager_deliver(q, p, lvl, &cands, sh);
+        }
+    }
+
+    /// Filter mode's unwinding for a query that has already matched: pops
+    /// `v`'s entry at `level` unevaluated, so the stacks are clean for
+    /// the next document.
+    pub(crate) fn discard<O: MachineObserver>(
+        &mut self,
+        q: QueryId,
+        v: usize,
+        level: u32,
+        sh: &mut Shared<O>,
+    ) {
+        if self.stacks[v].last().map(|top| top.level) != Some(level) {
+            return;
+        }
+        let entry = self.stacks[v].pop().expect("checked non-empty");
+        sh.stats.pops += 1;
+        sh.live_entries -= 1;
+        sh.live_candidates -= entry.candidates.len() as u64;
+        if O::ENABLED {
+            // Discarded unevaluated: report as unsatisfied.
+            sh.observer.on_pop(encode_obs_node(q, v), level, false);
+        }
+    }
+}
+
+/// The TwigM streaming engine: one `Run` of the machine.
+///
+/// The `O` parameter is a [`MachineObserver`] receiving every machine
+/// transition; the default [`NoopObserver`] compiles all hooks away, so
+/// `TwigM` (no parameter) is exactly the unobserved machine.
+pub struct TwigM<O: MachineObserver = NoopObserver> {
+    run: Run,
+    shared: Shared<O>,
+    /// Level of the innermost open element (for routing text events).
+    depth: u32,
 }
 
 impl TwigM {
@@ -110,53 +622,38 @@ impl<O: MachineObserver> TwigM<O> {
 
     /// Builds an observed engine around an existing compiled machine.
     pub fn from_machine_with(machine: Machine, observer: O) -> Self {
-        let stacks = vec![Vec::new(); machine.len()];
-        let pos_counts = vec![Vec::new(); machine.len()];
-        let sol_decided_at_push =
-            std::iter::successors(Some(machine.sol), |&v| machine.nodes[v].parent).all(|v| {
-                let node = &machine.nodes[v];
-                node.eager_safe && node.formula.eval(node.spine_mask)
-            });
         TwigM {
-            machine,
-            stacks,
-            pos_counts,
+            run: Run::new(machine),
+            shared: Shared::new(observer),
             depth: 0,
-            emitted: FxHashSet::default(),
-            results: Vec::new(),
-            stats: EngineStats::default(),
-            live_entries: 0,
-            live_candidates: 0,
-            sol_decided_at_push,
-            observer,
         }
     }
 
     /// The attached observer.
     pub fn observer(&self) -> &O {
-        &self.observer
+        &self.shared.observer
     }
 
     /// Mutable access to the attached observer.
     pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.observer
+        &mut self.shared.observer
     }
 
     /// Consumes the engine, returning the observer (typically to export
     /// what it recorded after a run).
     pub fn into_observer(self) -> O {
-        self.observer
+        self.shared.observer
     }
 
     /// The compiled machine.
     pub fn machine(&self) -> &Machine {
-        &self.machine
+        self.run.machine()
     }
 
     /// Current total number of stack entries (used in tests of the
     /// compact-encoding claim).
     pub fn total_entries(&self) -> usize {
-        self.stacks.iter().map(Vec::len).sum()
+        self.run.stacks.iter().map(Vec::len).sum()
     }
 
     /// The levels currently on each machine node's stack, bottom to top
@@ -167,438 +664,46 @@ impl<O: MachineObserver> TwigM<O> {
     /// invariant the `prop42_invariant` integration test checks against
     /// a DOM oracle after every event.
     pub fn stack_levels(&self) -> Vec<Vec<u32>> {
-        self.stacks
+        self.run
+            .stacks
             .iter()
             .map(|stack| stack.iter().map(|e| e.level).collect())
             .collect()
     }
 
-    /// Evaluates the start-tag conditions (attribute tests) of `node`.
-    fn initial_slots(node: &MNode, attrs: &[Attribute<'_>]) -> u64 {
-        let mut slots = 0u64;
-        for &i in &node.start_conds {
-            let satisfied = match &node.conditions[i] {
-                QCond::AttrExists(name) => attrs.iter().any(|a| a.name == name),
-                QCond::AttrCmp(name, op, lit) => attrs
-                    .iter()
-                    .any(|a| a.name == name && op.eval(&a.value, lit)),
-                QCond::AttrFn(name, func, arg) => attrs
-                    .iter()
-                    .any(|a| a.name == name && func.eval(&a.value, arg)),
-                _ => unreachable!("start_conds holds only attribute conditions"),
-            };
-            if satisfied {
-                slots |= 1 << i;
-            }
-        }
-        slots
-    }
-
-    /// Evaluates the end-tag conditions (text tests) of `node` against an
-    /// entry's accumulated text.
-    fn apply_text_conds(node: &MNode, entry: &mut Entry) {
-        for &i in &node.text_conds {
-            let satisfied = match &node.conditions[i] {
-                QCond::TextExists => !entry.text.is_empty(),
-                // XPath comparisons over an empty node-set are false, so
-                // a text test requires text to exist, even for `!=`.
-                QCond::TextCmp(op, lit) => !entry.text.is_empty() && op.eval(&entry.text, lit),
-                QCond::TextFn(func, arg) => !entry.text.is_empty() && func.eval(&entry.text, arg),
-                _ => unreachable!("text_conds holds only text conditions"),
-            };
-            if satisfied {
-                entry.slots |= 1 << i;
-            }
-        }
-    }
-
-    /// Eagerly delivers decided candidates upward from `from_node`'s
-    /// entry at `from_level`.
-    ///
-    /// A candidate whose chain of stack entries all have *monotone,
-    /// already-satisfied* formulas (with each hop's spine-child bit
-    /// assumed — the delivery itself proves that subtree matches) is a
-    /// decided solution and can be emitted the moment it is discovered,
-    /// restoring PathM-grade incrementality ("results should be
-    /// distributed … as soon as they are found", paper §1). Entries whose
-    /// formula is not yet satisfied buffer the candidates as usual; the
-    /// flush points in δs/δe release them when a later bit completes the
-    /// formula. The climb visits each machine node once with its set of
-    /// qualifying levels, so a delivery costs O(|Q|·R).
-    fn eager_deliver(&mut self, from_node: usize, from_level: u32, cands: Vec<u64>) {
-        let mut node = from_node;
-        let mut levels: Vec<u32> = vec![from_level];
-        loop {
-            let Some(p) = self.machine.nodes[node].parent else {
-                // The machine root: the candidates are decided.
-                for &id in &cands {
-                    if self.emitted.insert(id) {
-                        self.emit(NodeId::new(id));
-                    }
-                }
-                return;
-            };
-            let edge = self.machine.nodes[node].edge;
-            let pnode = &self.machine.nodes[p];
-            let eager_safe = pnode.eager_safe;
-            let spine_mask = pnode.spine_mask;
-            let formula = &pnode.formula;
-            let mut next_levels: Vec<u32> = Vec::new();
-            for e in self.stacks[p].iter_mut() {
-                let qualifies = levels.iter().any(|&l| edge.test(l as i64 - e.level as i64));
-                if !qualifies {
-                    continue;
-                }
-                if eager_safe && formula.eval(e.slots | spine_mask) {
-                    next_levels.push(e.level);
-                } else {
-                    let inserted = Self::merge_candidates(&mut e.candidates, &cands, &self.emitted);
-                    self.stats.candidates_merged += inserted;
-                    self.live_candidates += inserted;
-                }
-            }
-            if next_levels.is_empty() {
-                return;
-            }
-            next_levels.dedup();
-            node = p;
-            levels = next_levels;
-        }
-    }
-
-    /// Merges `src` (sorted) into `dst` (sorted), skipping already-emitted
-    /// ids; returns how many ids were inserted.
-    fn merge_candidates(dst: &mut Vec<u64>, src: &[u64], emitted: &FxHashSet<u64>) -> u64 {
-        if src.is_empty() {
-            return 0;
-        }
-        if dst.is_empty() {
-            dst.extend(src.iter().filter(|id| !emitted.contains(id)));
-            return dst.len() as u64;
-        }
-        // Fast path: candidates arrive in roughly increasing id order, so
-        // uploads usually append past the destination's tail.
-        let last = *dst.last().expect("checked non-empty");
-        if src[0] > last {
-            let before = dst.len();
-            dst.extend(src.iter().filter(|id| !emitted.contains(id)));
-            return (dst.len() - before) as u64;
-        }
-        // Fast path: single-id uploads (a freshly decided candidate)
-        // insert in place instead of rebuilding the vector.
-        if src.len() == 1 {
-            let id = src[0];
-            if emitted.contains(&id) {
-                return 0;
-            }
-            return match dst.binary_search(&id) {
-                Ok(_) => 0,
-                Err(pos) => {
-                    dst.insert(pos, id);
-                    1
-                }
-            };
-        }
-        let old = std::mem::take(dst);
-        dst.reserve(old.len() + src.len());
-        let mut inserted = 0;
-        let mut a = old.into_iter().peekable();
-        let mut b = src
-            .iter()
-            .copied()
-            .filter(|id| !emitted.contains(id))
-            .peekable();
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&x), Some(&y)) => {
-                    if x < y {
-                        dst.push(x);
-                        a.next();
-                    } else if y < x {
-                        dst.push(y);
-                        b.next();
-                        inserted += 1;
-                    } else {
-                        dst.push(x);
-                        a.next();
-                        b.next();
-                    }
-                }
-                (Some(_), None) => {
-                    dst.extend(a);
-                    break;
-                }
-                (None, Some(_)) => {
-                    for y in b {
-                        dst.push(y);
-                        inserted += 1;
-                    }
-                    break;
-                }
-                (None, None) => break,
-            }
-        }
-        inserted
-    }
-}
-
-impl<O: MachineObserver> TwigM<O> {
     /// δs (Algorithm 1), dispatching on an interned symbol: the nodes
     /// tagged `sym` plus the wildcard nodes, via dense table indexing —
     /// no per-node string compare, no allocation for non-matching tags.
     fn start_sym(&mut self, sym: Symbol, attrs: &[Attribute<'_>], level: u32, id: NodeId) -> bool {
-        self.stats.start_events += 1;
+        let sh = &mut self.shared;
+        sh.begin_start(sym, level, id);
         self.depth = level;
-        if O::ENABLED {
-            self.observer.on_start_element(sym, level, id);
-        }
-        // This element opens a fresh sibling scope for its children:
-        // reset the positional counters keyed by its level.
-        for &v in self.machine.pos_nodes() {
-            let counts = &mut self.pos_counts[v];
-            if counts.len() <= level as usize {
-                counts.resize(level as usize + 1, 0);
-            }
-            counts[level as usize] = 0;
-        }
-        let n_tag = self.machine.tag_nodes(sym).len();
-        let n_wild = self.machine.wildcards().len();
-        // Most tags reach no machine node: nothing to push, no counter
-        // to update.
-        let became_candidate = n_tag + n_wild != 0 && self.push_all(sym, attrs, level, id, n_tag);
-        if O::ENABLED {
-            self.observer.on_event_end(&self.stats);
-        }
-        became_candidate
-    }
-
-    /// The pushes of δs: every machine node labelled `sym` (the first
-    /// `n_tag`) or `*` whose parent stack qualifies pushes an entry.
-    fn push_all(
-        &mut self,
-        sym: Symbol,
-        attrs: &[Attribute<'_>],
-        level: u32,
-        id: NodeId,
-        n_tag: usize,
-    ) -> bool {
+        self.run.reset_positions(level);
+        let n_tag = self.run.machine.tag_nodes(sym).len();
         let mut became_candidate = false;
-        // Indexing by position instead of holding the slice keeps `self`
-        // free for the mutations below; `tag_nodes` is a bounds-checked
-        // array access, so re-reading it is cheap.
-        for i in 0..n_tag + self.machine.wildcards().len() {
-            let v = if i < n_tag {
-                self.machine.tag_nodes(sym)[i]
-            } else {
-                self.machine.wildcards()[i - n_tag]
-            };
-            let node = &self.machine.nodes[v];
-            let qualified = match node.parent {
-                None => {
-                    self.stats.qualification_probes += 1;
-                    node.edge.test(level as i64)
-                }
-                Some(p) => {
-                    let mut found = false;
-                    for e in self.stacks[p].iter().rev() {
-                        self.stats.qualification_probes += 1;
-                        if node.edge.test(level as i64 - e.level as i64) {
-                            found = true;
-                            break;
-                        }
-                    }
-                    found
-                }
-            };
-            if !qualified {
-                continue;
-            }
-            let mut slots = Self::initial_slots(node, attrs);
-            if !node.pos_conds.is_empty() {
-                // The element's 1-based position among qualifying
-                // siblings (its parent element sits one level up).
-                let parent_level = level.saturating_sub(1) as usize;
-                let counts = &mut self.pos_counts[v];
-                if counts.len() <= parent_level {
-                    counts.resize(parent_level + 1, 0);
-                }
-                counts[parent_level] += 1;
-                let position = counts[parent_level];
-                for &(slot, n) in &node.pos_conds {
-                    if position == n {
-                        slots |= 1 << slot;
-                    }
-                }
-            }
-            let mut candidates = Vec::new();
-            let mut eager_sol = false;
-            let mut decided = false;
-            if node.is_sol {
-                became_candidate = true;
-                if self.sol_decided_at_push {
-                    decided = true;
-                } else if node.eager_safe && node.formula.eval(slots) {
-                    // The return node's own predicates already hold:
-                    // deliver the candidate immediately instead of
-                    // buffering it in the entry.
-                    eager_sol = true;
-                } else {
-                    candidates.push(id.get());
-                    self.live_candidates += 1;
-                }
-            }
-            let n_counters = node.count_conds.len();
-            self.stacks[v].push(Entry {
-                level,
-                slots,
-                candidates,
-                text: String::new(),
-                counts: vec![0; n_counters],
-            });
-            if O::ENABLED {
-                self.observer.on_push(v as u32, level, node.is_sol);
-            }
-            if decided {
-                // A start tag's id is new, so it cannot be a duplicate.
-                self.emit(id);
-            } else if eager_sol {
-                self.eager_deliver(v, level, vec![id.get()]);
-            }
-            self.stats.pushes += 1;
-            self.live_entries += 1;
+        for i in 0..n_tag + self.run.machine.wildcards().len() {
+            let v = self.run.dispatched(sym, n_tag, i);
+            became_candidate |= self.run.push(0, v, attrs, level, id, sh);
         }
-        self.stats.peak_entries = self.stats.peak_entries.max(self.live_entries);
-        self.stats.peak_candidates = self.stats.peak_candidates.max(self.live_candidates);
+        sh.finish_event();
         became_candidate
-    }
-
-    /// Reports a decided result.
-    fn emit(&mut self, id: NodeId) {
-        self.results.push(id);
-        self.stats.results += 1;
-        if O::ENABLED {
-            self.observer.on_result(id);
-        }
     }
 
     /// δe (Algorithm 1), dispatching on an interned symbol.
     fn end_sym(&mut self, sym: Symbol, level: u32) {
-        self.stats.end_events += 1;
+        let sh = &mut self.shared;
+        sh.begin_end(sym, level);
         self.depth = level.saturating_sub(1);
-        if O::ENABLED {
-            self.observer.on_end_element(sym, level);
+        let n_tag = self.run.machine.tag_nodes(sym).len();
+        for i in 0..n_tag + self.run.machine.wildcards().len() {
+            let v = self.run.dispatched(sym, n_tag, i);
+            self.run.pop(0, v, level, sh);
         }
-        let n_tag = self.machine.tag_nodes(sym).len();
-        if n_tag + self.machine.wildcards().len() != 0 {
-            self.pop_all(sym, level, n_tag);
-        }
-        if O::ENABLED {
-            self.observer.on_event_end(&self.stats);
-        }
+        sh.finish_event();
         if level == 1 {
-            // Document root closed: nothing is active any more.
-            debug_assert!(self.stacks.iter().all(Vec::is_empty));
-            self.emitted.clear();
-            self.live_candidates = 0;
-            if O::ENABLED {
-                self.observer.on_document_end();
-            }
+            self.run.end_document();
+            sh.end_document();
         }
-    }
-
-    /// The pops of δe: every machine node labelled `sym` (the first
-    /// `n_tag`) or `*` whose top entry sits at `level` pops it, and a
-    /// satisfied entry uploads to its parent or, at the root, emits.
-    fn pop_all(&mut self, sym: Symbol, level: u32, n_tag: usize) {
-        for i in 0..n_tag + self.machine.wildcards().len() {
-            let v = if i < n_tag {
-                self.machine.tag_nodes(sym)[i]
-            } else {
-                self.machine.wildcards()[i - n_tag]
-            };
-            let node = &self.machine.nodes[v];
-            let Some(top) = self.stacks[v].last() else {
-                continue;
-            };
-            if top.level != level {
-                continue;
-            }
-            let mut entry = self.stacks[v].pop().expect("checked non-empty");
-            self.stats.pops += 1;
-            self.live_entries -= 1;
-            self.live_candidates -= entry.candidates.len() as u64;
-            Self::apply_text_conds(node, &mut entry);
-            for &(cond, counter, op, n) in &node.count_conds {
-                if op.eval_f64(entry.counts[counter] as f64, n as f64) {
-                    entry.slots |= 1 << cond;
-                }
-            }
-            let satisfied = node.formula.eval(entry.slots);
-            if O::ENABLED {
-                self.observer.on_pop(v as u32, level, satisfied);
-            }
-            if !satisfied {
-                // Failed predicates: the entry and every pattern match it
-                // participates in are pruned, without enumeration.
-                continue;
-            }
-            match node.parent {
-                None => {
-                    // Machine root: the candidates are decided solutions.
-                    for id in entry.candidates {
-                        if self.emitted.insert(id) {
-                            self.emit(NodeId::new(id));
-                        }
-                    }
-                }
-                Some(p) => {
-                    let slot_bit = 1u64 << node.parent_slot.expect("non-root has a slot");
-                    let edge = node.edge;
-                    let parent_counter = node.parent_counter;
-                    let pnode = &self.machine.nodes[p];
-                    let p_eager = pnode.eager_safe;
-                    let p_spine = pnode.spine_mask;
-                    let p_formula = &pnode.formula;
-                    // Targets whose formula completed with this upload:
-                    // their buffered candidates are decided and flush
-                    // upward immediately.
-                    let mut flush: Vec<(u32, Vec<u64>)> = Vec::new();
-                    for e in self.stacks[p].iter_mut() {
-                        self.stats.upload_probes += 1;
-                        if !edge.test(level as i64 - e.level as i64) {
-                            continue;
-                        }
-                        match parent_counter {
-                            // A counted child: increment instead of
-                            // setting a bit (the bit is decided at the
-                            // parent's pop by the comparison).
-                            Some(ci) => e.counts[ci] += 1,
-                            None => e.slots |= slot_bit,
-                        }
-                        let inserted = Self::merge_candidates(
-                            &mut e.candidates,
-                            &entry.candidates,
-                            &self.emitted,
-                        );
-                        self.stats.candidates_merged += inserted;
-                        self.live_candidates += inserted;
-                        if O::ENABLED {
-                            self.observer.on_upload(v as u32, p as u32, inserted);
-                        }
-                        if p_eager && !e.candidates.is_empty() && p_formula.eval(e.slots | p_spine)
-                        {
-                            let cands = std::mem::take(&mut e.candidates);
-                            self.live_candidates -= cands.len() as u64;
-                            flush.push((e.level, cands));
-                        }
-                    }
-                    for (lvl, cands) in flush {
-                        self.eager_deliver(p, lvl, cands);
-                    }
-                }
-            }
-        }
-        self.stats.peak_candidates = self.stats.peak_candidates.max(self.live_candidates);
     }
 }
 
@@ -619,24 +724,18 @@ impl<O: MachineObserver> StreamEngine for TwigM<O> {
     /// entry of a text-needing node, if it corresponds to the innermost
     /// open element.
     fn text(&mut self, text: &str) {
-        self.text_at(text, self.depth)
+        self.run.text_at(text, self.depth)
     }
 
     /// Depth-explicit text routing. `self.depth` only advances on events
     /// the machine actually receives, so under a prefiltered batch
     /// stream the caller supplies the true containing level instead.
     fn text_at(&mut self, text: &str, level: u32) {
-        for &v in self.machine.text_nodes() {
-            if let Some(top) = self.stacks[v].last_mut() {
-                if top.level == level {
-                    top.text.push_str(text);
-                }
-            }
-        }
+        self.run.text_at(text, level)
     }
 
     fn relevance(&self) -> crate::relevance::Relevance {
-        crate::relevance::machine_relevance(&self.machine)
+        crate::relevance::machine_relevance(self.machine())
     }
 
     /// δe via the symbol the driver looked up.
@@ -645,23 +744,23 @@ impl<O: MachineObserver> StreamEngine for TwigM<O> {
     }
 
     fn symbols(&self) -> Option<&SymbolTable> {
-        Some(self.machine.symbols())
+        Some(self.machine().symbols())
     }
 
     fn needs_attributes(&self, sym: Symbol) -> bool {
-        self.machine.needs_attributes(sym)
+        self.machine().needs_attributes(sym)
     }
 
     fn take_results(&mut self) -> Vec<NodeId> {
-        std::mem::take(&mut self.results)
+        self.shared.take_ids()
     }
 
     fn stats(&self) -> &EngineStats {
-        &self.stats
+        &self.shared.stats
     }
 
     fn machine_size(&self) -> Option<usize> {
-        Some(self.machine.len())
+        Some(self.machine().len())
     }
 }
 
@@ -676,12 +775,12 @@ impl<O: MachineObserver> TwigM<O> {
         level: u32,
         id: NodeId,
     ) -> bool {
-        let sym = self.machine.symbols().lookup(tag);
+        let sym = self.machine().symbols().lookup(tag);
         self.start_sym(sym, attrs, level, id)
     }
 
     pub(crate) fn end(&mut self, tag: &str, level: u32) {
-        let sym = self.machine.symbols().lookup(tag);
+        let sym = self.machine().symbols().lookup(tag);
         self.end_sym(sym, level)
     }
 }

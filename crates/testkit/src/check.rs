@@ -7,7 +7,7 @@ use twigm::engine::{run_engine, StreamEngine};
 use twigm::{MultiTwigM, TwigM};
 use twigm_baselines::inmem::{Document, InMemEval};
 use twigm_baselines::{LazyDfa, NaiveEnum};
-use twigm_sax::NodeId;
+use twigm_sax::{Event, NodeId, SaxError, SaxReader};
 use twigm_xpath::Path;
 
 /// Coarse classification of a failure, used to decide whether a shrink
@@ -132,6 +132,64 @@ fn check_engine<E: StreamEngine>(
     }
 }
 
+/// Drives `twig` and a `multi` holding the same single query over `xml`
+/// event by event. Returns the ids `multi` decided, and the first
+/// difference between the two: the ids drained after some event, or
+/// else the final [`EngineStats`](twigm::EngineStats).
+fn lockstep(
+    twig: &mut TwigM,
+    multi: &mut MultiTwigM,
+    xml: &[u8],
+) -> Result<(Vec<NodeId>, Option<String>), SaxError> {
+    let twig_table = twig.machine().symbols().clone();
+    let multi_table = MultiTwigM::symbols(multi).clone();
+    let mut reader = SaxReader::from_bytes(xml);
+    let mut ids = Vec::new();
+    let mut difference = None;
+    let mut events = 0u64;
+    while let Some(event) = reader.next_event()? {
+        events += 1;
+        match event {
+            Event::Start(tag) => {
+                let attrs = tag.attributes().collect::<Result<Vec<_>, _>>()?;
+                let (name, level, id) = (tag.name(), tag.level(), tag.id());
+                twig.start_element_sym(twig_table.lookup(name), name, &attrs, level, id);
+                multi.start_element_sym(multi_table.lookup(name), &attrs, level, id);
+            }
+            Event::End(tag) => {
+                let (name, level) = (tag.name(), tag.level());
+                twig.end_element_sym(twig_table.lookup(name), name, level);
+                multi.end_element_sym(multi_table.lookup(name), level);
+            }
+            Event::Text(text) => {
+                twig.text(&text);
+                multi.text(&text);
+            }
+            Event::Comment(_) | Event::ProcessingInstruction { .. } => {}
+        }
+        let single = twig.take_results();
+        let tagged: Vec<NodeId> = multi
+            .take_tagged_results()
+            .into_iter()
+            .map(|r| r.node)
+            .collect();
+        if difference.is_none() && single != tagged {
+            difference = Some(format!(
+                "after event {events}: TwigM decided {single:?}, MultiTwigM {tagged:?}"
+            ));
+        }
+        ids.extend(tagged);
+    }
+    if difference.is_none() && twig.stats() != multi.stats() {
+        difference = Some(format!(
+            "final stats differ: TwigM {:?}, MultiTwigM {:?}",
+            twig.stats(),
+            multi.stats()
+        ));
+    }
+    Ok((ids, difference))
+}
+
 /// Differentially checks every applicable engine on one (document,
 /// query) pair. `doc` must be the parse of `xml`.
 pub fn check_case(doc: &Document, xml: &[u8], query: &Path) -> Vec<Violation> {
@@ -162,13 +220,24 @@ pub fn check_case(doc: &Document, xml: &[u8], query: &Path) -> Vec<Violation> {
         }
     }
 
-    // The multi-query machine with a single registered query must agree
-    // too, and its aggregated peak respects the summed-|Q| bound.
+    // The multi-query machine with a single registered query runs the
+    // same transitions as TwigM: it must decide the same ids after every
+    // event and end with the same counters, and its aggregated peak
+    // respects the summed-|Q| bound.
     let mut multi = MultiTwigM::new();
     if multi.add_query(query).is_ok() {
-        match multi.run(xml) {
-            Ok(results) => {
-                let ids = sorted(results.into_iter().map(|r| r.node).collect());
+        let mut twig = TwigM::new(query).expect("TwigM compiled this query above");
+        match lockstep(&mut twig, &mut multi, xml) {
+            Ok((ids, difference)) => {
+                if let Some(detail) = difference {
+                    out.push(Violation {
+                        kind: ViolationKind::Divergence,
+                        engine: "MultiTwigM",
+                        query: query.to_string(),
+                        detail,
+                    });
+                }
+                let ids = sorted(ids);
                 if ids != expected {
                     out.push(Violation {
                         kind: ViolationKind::Divergence,

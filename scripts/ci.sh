@@ -97,16 +97,20 @@ fi
 
 # Stream smoke: a result leaves the process as soon as it is decided.
 # The document stays open for two more seconds after `<r><a/>`, and the
-# standing query's line must reach a one-second read before that.
+# standing query's line must reach a one-second read before that, for a
+# descendant query and for a rooted one alike.
 echo "==> stream smoke: results leave before end of input"
 cargo build --release -p twigm-cli
-first="$( (printf '<r><a/>'; sleep 2; printf '</r>') \
-    | target/release/twigm -q //a -q //b \
-    | { IFS= read -r -t 1 line && printf '%s' "$line"; } )" || true
-if [ "$first" != "$(printf 'Q0\t1')" ]; then
-    echo "stream smoke: no result line within 1 s of its deciding bytes" >&2
-    exit 1
-fi
+for queries in "//a //b" "/r/a //zz"; do
+    set -- $queries
+    first="$( (printf '<r><a/>'; sleep 2; printf '</r>') \
+        | target/release/twigm -q "$1" -q "$2" \
+        | { IFS= read -r -t 1 line && printf '%s' "$line"; } )" || true
+    if [ "$first" != "$(printf 'Q0\t1')" ]; then
+        echo "stream smoke: -q $1 -q $2 gave no result line within 1 s of its deciding bytes" >&2
+        exit 1
+    fi
+done
 
 # Scanner smoke: the SWAR/SSE2 scan paths must agree with the scalar
 # reference on real Figure-5 data (the ablation asserts this before
