@@ -118,6 +118,11 @@ impl<O: MachineObserver> Shared<O> {
     pub(crate) fn finish_event(&mut self) {
         self.stats.peak_entries = self.stats.peak_entries.max(self.live_entries);
         self.stats.peak_candidates = self.stats.peak_candidates.max(self.live_candidates);
+        self.finish_idle_event();
+    }
+
+    /// Closes a transition that moved no entry, so the peaks stand.
+    fn finish_idle_event(&mut self) {
         if O::ENABLED {
             self.observer.on_event_end(&self.stats);
         }
@@ -300,22 +305,18 @@ impl Run {
     ) -> bool {
         let node = &self.machine.nodes[v];
         // The qualification probe (the machine root probes the virtual
-        // document root at level 0). It remembers the parent entry it
-        // found: over a child edge that is the only one that qualifies.
+        // document root at level 0).
         let mut probe = |parent_level: u32| {
             sh.stats.qualification_probes += 1;
             node.edge.test(level as i64 - parent_level as i64)
         };
-        let found = match node.parent {
-            None => probe(0).then_some(None),
-            Some(p) => self.stacks[p]
-                .iter()
-                .rposition(|e| probe(e.level))
-                .map(Some),
+        let qualified = match node.parent {
+            None => probe(0),
+            Some(p) => self.stacks[p].iter().rev().any(|e| probe(e.level)),
         };
-        let Some(parent_entry) = found else {
+        if !qualified {
             return false;
-        };
+        }
         let mut slots = Self::initial_slots(node, attrs);
         if !node.pos_conds.is_empty() {
             // The element's 1-based position among qualifying siblings
@@ -364,39 +365,11 @@ impl Run {
             // A start tag's id is new, so it cannot be a duplicate.
             sh.emit(q, id);
         } else if eager_sol {
-            self.deliver_fresh(q, v, level, id.get(), parent_entry, sh);
+            self.eager_deliver(q, v, level, &[id.get()], sh);
         }
         sh.stats.pushes += 1;
         sh.live_entries += 1;
         is_sol
-    }
-
-    /// Eagerly delivers a candidate that `v`'s push at `level` just
-    /// created. Over a child edge the first hop goes straight to the
-    /// parent entry the qualification probe found instead of scanning
-    /// the parent stack again; the outcome is `eager_deliver`'s.
-    #[inline]
-    fn deliver_fresh<O: MachineObserver>(
-        &mut self,
-        q: QueryId,
-        v: usize,
-        level: u32,
-        id: u64,
-        parent_entry: Option<usize>,
-        sh: &mut Shared<O>,
-    ) {
-        let node = &self.machine.nodes[v];
-        let (Some(p), Some(i), true) = (node.parent, parent_entry, node.edge.exact) else {
-            return self.eager_deliver(q, v, level, &[id], sh);
-        };
-        let pnode = &self.machine.nodes[p];
-        let e = &mut self.stacks[p][i];
-        if pnode.eager_safe && pnode.holds(e.slots | pnode.spine_mask) {
-            let from_level = e.level;
-            self.eager_deliver(q, p, from_level, &[id], sh);
-        } else {
-            Self::merge_candidates(&mut e.candidates, &[id], &self.emitted, sh);
-        }
     }
 
     /// Eagerly delivers decided candidates upward from `from_node`'s
@@ -680,8 +653,14 @@ impl<O: MachineObserver> TwigM<O> {
         self.depth = level;
         self.run.reset_positions(level);
         let n_tag = self.run.machine.tag_nodes(sym).len();
+        let reached = n_tag + self.run.machine.wildcards().len();
+        if reached == 0 {
+            // Most tags reach no machine node: no entry moves.
+            sh.finish_idle_event();
+            return false;
+        }
         let mut became_candidate = false;
-        for i in 0..n_tag + self.run.machine.wildcards().len() {
+        for i in 0..reached {
             let v = self.run.dispatched(sym, n_tag, i);
             became_candidate |= self.run.push(0, v, attrs, level, id, sh);
         }
@@ -695,11 +674,16 @@ impl<O: MachineObserver> TwigM<O> {
         sh.begin_end(sym, level);
         self.depth = level.saturating_sub(1);
         let n_tag = self.run.machine.tag_nodes(sym).len();
-        for i in 0..n_tag + self.run.machine.wildcards().len() {
-            let v = self.run.dispatched(sym, n_tag, i);
-            self.run.pop(0, v, level, sh);
+        let reached = n_tag + self.run.machine.wildcards().len();
+        if reached == 0 {
+            sh.finish_idle_event();
+        } else {
+            for i in 0..reached {
+                let v = self.run.dispatched(sym, n_tag, i);
+                self.run.pop(0, v, level, sh);
+            }
+            sh.finish_event();
         }
-        sh.finish_event();
         if level == 1 {
             self.run.end_document();
             sh.end_document();

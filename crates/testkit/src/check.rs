@@ -133,7 +133,8 @@ fn check_engine<E: StreamEngine>(
 }
 
 /// Drives `twig` and a `multi` holding the same single query over `xml`
-/// event by event. Returns the ids `multi` decided, and the first
+/// event by event, each fed attributes as its `needs_attributes` gate
+/// asks. Returns the ids `multi` decided, and the first
 /// difference between the two: the ids drained after some event, or
 /// else the final [`EngineStats`](twigm::EngineStats).
 fn lockstep(
@@ -151,10 +152,20 @@ fn lockstep(
         events += 1;
         match event {
             Event::Start(tag) => {
-                let attrs = tag.attributes().collect::<Result<Vec<_>, _>>()?;
                 let (name, level, id) = (tag.name(), tag.level(), tag.id());
-                twig.start_element_sym(twig_table.lookup(name), name, &attrs, level, id);
-                multi.start_element_sym(multi_table.lookup(name), &attrs, level, id);
+                let (twig_sym, multi_sym) = (twig_table.lookup(name), multi_table.lookup(name));
+                // Each engine sees attributes only where its own gate asks
+                // for them, as under `engine::drive`, so a gate that
+                // misses a tested tag shows up as a difference.
+                let twig_wants = twig.needs_attributes(twig_sym);
+                let multi_wants = MultiTwigM::needs_attributes(multi, multi_sym);
+                let mut attrs = Vec::new();
+                if twig_wants || multi_wants {
+                    attrs = tag.attributes().collect::<Result<Vec<_>, _>>()?;
+                }
+                let gated = |wants: bool| if wants { &attrs[..] } else { &[] };
+                twig.start_element_sym(twig_sym, name, gated(twig_wants), level, id);
+                multi.start_element_sym(multi_sym, gated(multi_wants), level, id);
             }
             Event::End(tag) => {
                 let (name, level) = (tag.name(), tag.level());
